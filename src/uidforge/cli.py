@@ -24,7 +24,7 @@ from .coverage import CoverageConfig, allocate_unknown_age, apply_omission_adjus
 from .csvio import (
     emit_demand_csv,
     emit_population_csv,
-    format_count,
+    emit_projection_csv,
     load_fertility_csv,
     load_flows_csv,
     load_observations_csv,
@@ -283,19 +283,15 @@ def _ensure_out_dir(cfg: RunConfig) -> Path:
 
 def _cmd_project(cfg: RunConfig) -> int:
     pyramids, schedules, fert = _load_projection_inputs(cfg)
+    regions = [(code, _schedule_for(code, schedules)) for code in sorted(pyramids)]
     out = _ensure_out_dir(cfg)
-    lines = ["year,region,sex,age,count"]
-    for code in sorted(pyramids):
-        series = project_population(
-            pyramids[code].densified(), _schedule_for(code, schedules), fert, cfg.horizon
-        )
-        for frame in series.frames:
-            for (sex, age) in sorted(frame.counts, key=lambda k: (k[0].value, k[1])):
-                lines.append(
-                    f"{frame.time_label},{code},{sex.value},{age},"
-                    f"{format_count(frame.counts[(sex, age)])}"
-                )
-    (out / "projection.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    emit_projection_csv(
+        (
+            (code, project_population(pyramids[code].densified(), schedule, fert, cfg.horizon))
+            for code, schedule in regions
+        ),
+        out / "projection.csv",
+    )
     return 0
 
 

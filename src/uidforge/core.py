@@ -3,15 +3,19 @@ survival schedules and fertility configuration.
 
 All types are immutable after construction and safe to share between
 threads; every operation in this package is a pure function of them.
+Pyramids and survival schedules also expose their cells as a read-only
+float64 array of shape ``(2, n_ages)``, rows in :data:`SEX_ROWS` order,
+which is what the projection arithmetic runs on.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,6 +29,16 @@ REPRODUCTIVE_AGE_MAX = 49
 class Sex(Enum):
     MALE = "M"
     FEMALE = "F"
+
+    @property
+    def row(self) -> int:
+        """Index of this sex on the first axis of a ``(2, n_ages)`` array."""
+        return SEX_ROWS.index(self)
+
+
+#: Row order of the sex axis in ``(2, n_ages)`` arrays: F before M, the
+#: order in which every CSV file lists them.
+SEX_ROWS = (Sex.FEMALE, Sex.MALE)
 
 
 class RegionLevel(Enum):
@@ -77,6 +91,38 @@ def _freeze_mapping(raw) -> Mapping:
     return MappingProxyType(dict(raw))
 
 
+class _ArrayCells(Mapping):
+    """Read-only (sex, age) -> count mapping over a ``(2, n_ages)``
+    array; every cell of the axis is present."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __contains__(self, key) -> bool:
+        try:
+            sex, age = key
+        except (TypeError, ValueError):
+            return False
+        return isinstance(sex, Sex) and age in range(self.array.shape[1])
+
+    def __getitem__(self, key) -> float:
+        if key not in self:
+            raise KeyError(key)
+        sex, age = key
+        return self.array.item(sex.row, int(age))
+
+    def __iter__(self):
+        return ((sex, age) for sex in Sex for age in range(self.array.shape[1]))
+
+    def __len__(self) -> int:
+        return self.array.size
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True, eq=True)
 class AgePyramid:
     """Population counts by (sex, single-year age) for one region at one
@@ -95,7 +141,8 @@ class AgePyramid:
     counts: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _freeze_mapping(self.counts))
+        if not isinstance(self.counts, _ArrayCells):
+            object.__setattr__(self, "counts", _freeze_mapping(self.counts))
 
     def count(self, sex: Sex, age: int) -> float:
         return self.counts.get((sex, age), 0.0)
@@ -103,49 +150,52 @@ class AgePyramid:
     def has_cell(self, sex: Sex, age: int) -> bool:
         return (sex, age) in self.counts
 
+    @cached_property
+    def complete(self) -> bool:
+        """Whether every (sex, age) cell of the axis is present."""
+        return all(self.has_cell(sex, age) for sex in Sex for age in self.axis.ages())
+
     def total(self, sex: Sex | None = None) -> float:
         if sex is None:
             return float(sum(self.counts.values()))
         return float(sum(v for (s, _), v in self.counts.items() if s is sex))
 
-    def dense(self, sex: Sex) -> np.ndarray:
-        """Counts for one sex as an array over ages 0..max_age (missing -> 0)."""
-        out = np.zeros(self.axis.n_ages)
-        for (s, age), v in self.counts.items():
-            if s is sex and self.axis.contains(age):
-                out[age] = v
+    @cached_property
+    def array(self) -> np.ndarray:
+        """Counts as a read-only ``(2, n_ages)`` array; missing cells read
+        0.0 and cells beyond the axis are left out."""
+        out = np.zeros((2, self.axis.n_ages))
+        for (sex, age), v in self.counts.items():
+            if self.axis.contains(age):
+                out[sex.row, age] = v
+        out.flags.writeable = False
         return out
 
     def densified(self) -> "AgePyramid":
         """Copy with every (sex, age) cell present, missing cells as 0.0."""
-        cells = {(sex, age): self.count(sex, age) for sex in Sex for age in self.axis.ages()}
-        return AgePyramid(self.region, self.time_label, self.axis, cells)
+        return AgePyramid.from_array(self.region, self.time_label, self.axis, self.array)
 
     def replace_counts(self, counts: Mapping, time_label: int | None = None) -> "AgePyramid":
         label = self.time_label if time_label is None else time_label
         return AgePyramid(self.region, label, self.axis, counts)
 
     @classmethod
-    def from_dense(
-        cls,
-        region: RegionId,
-        time_label: int,
-        axis: AgeAxis,
-        male: Iterable[float],
-        female: Iterable[float],
+    def from_array(
+        cls, region: RegionId, time_label: int, axis: AgeAxis, array: np.ndarray
     ) -> "AgePyramid":
-        male = list(male)
-        female = list(female)
-        if len(male) != axis.n_ages or len(female) != axis.n_ages:
+        """Dense pyramid over a copy of the ``(2, n_ages)`` ``array``; its
+        ``counts`` read the array instead of holding a dict."""
+        if array.shape != (2, axis.n_ages):
             raise DomainError(
-                f"dense pyramid needs {axis.n_ages} entries per sex, "
-                f"got {len(male)} male / {len(female)} female"
+                f"pyramid array must have shape (2, {axis.n_ages}), got {array.shape}"
             )
-        cells = {}
-        for age in axis.ages():
-            cells[(Sex.MALE, age)] = float(male[age])
-            cells[(Sex.FEMALE, age)] = float(female[age])
-        return cls(region, time_label, axis, cells)
+        cells = np.array(array, dtype=float)
+        cells.flags.writeable = False
+        pyramid = cls(region, time_label, axis, _ArrayCells(cells))
+        # fill the cached properties now; the projection loop reads both
+        object.__setattr__(pyramid, "array", cells)
+        object.__setattr__(pyramid, "complete", True)
+        return pyramid
 
 
 @dataclass(frozen=True)
@@ -156,8 +206,9 @@ class SurvivalSchedule:
     age x+1. The schedule is dense: every age 0..max_age must be present
     for both sexes, values lie in [0, 1], and the value at the last age
     of life is 0. Multi-year survival is always composed from these
-    one-year factors (see :func:`multi_year_survival`), keeping a single
-    source of truth.
+    one-year factors, keeping a single source of truth;
+    :func:`multi_year_survival` is the cell-by-cell reference for the
+    array arithmetic in :mod:`uidforge.projection`.
     """
 
     region: RegionId
@@ -190,8 +241,12 @@ class SurvivalSchedule:
             raise DomainError(f"age {age} outside axis 0..{self.axis.max_age}")
         return self.one_year[(sex, age)]
 
-    def dense(self, sex: Sex) -> np.ndarray:
-        return np.array([self.one_year[(sex, a)] for a in self.axis.ages()])
+    @cached_property
+    def array(self) -> np.ndarray:
+        """One-year survival as a read-only ``(2, n_ages)`` array."""
+        out = np.array([[self.one_year[(sex, a)] for a in self.axis.ages()] for sex in SEX_ROWS])
+        out.flags.writeable = False
+        return out
 
     @classmethod
     def flat(
@@ -255,6 +310,14 @@ class FertilityConfig:
 
     def rate(self, age: int) -> float:
         return self.rates.get(age, 0.0)
+
+    @cached_property
+    def band_rates(self) -> np.ndarray:
+        """Rates at ages 15..49 as a read-only array."""
+        band = range(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)
+        out = np.array([self.rate(x) for x in band])
+        out.flags.writeable = False
+        return out
 
     @property
     def male_share(self) -> float:

@@ -9,13 +9,17 @@ are the exception, rounded half-to-even to whole cards at emit time.
 from __future__ import annotations
 
 import csv
-from typing import Mapping, Sequence
+import math
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
-from .core import AgeAxis, AgePyramid, RegionId, RegionLevel, Sex, SurvivalSchedule
-from .errors import DataError, DomainError, InsufficientDataError, ParseError
+from .core import SEX_ROWS, AgeAxis, AgePyramid, RegionId, RegionLevel, Sex, SurvivalSchedule
+from .errors import DataError, DomainError, InsufficientDataError, ParseError, UidforgeError
 from .ledger import DemandSeries, StateFlows, check_interstate_closure
+from .projection import ProjectionSeries
 
 POPULATION_HEADER = ["region", "sex", "age", "count"]
+PROJECTION_HEADER = ["year", "region", "sex", "age", "count"]
 FLOWS_RATE_HEADER = ["state", "population", "b", "d", "m", "e"]
 FLOWS_COUNT_HEADER = ["state", "births", "deaths", "in", "out", "immig", "emig"]
 DEMAND_HEADER = ["year", "new_cards_male", "new_cards_female", "returned_cards"]
@@ -47,9 +51,12 @@ def _check_header(path, rows, expected: list[str]):
 
 def _parse_float(path, line_no, field, text) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(path, line_no, f"{field} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise DataError(path, line_no, f"{field} {text!r} is not finite")
+    return value
 
 
 def _parse_int(path, line_no, field, text) -> int:
@@ -193,6 +200,34 @@ def emit_population_csv(pyramids: Mapping, path):
         for (sex, age) in sorted(pyramid.counts, key=lambda k: (k[0].value, k[1])):
             lines.append(f"{code},{sex.value},{age},{format_count(pyramid.counts[(sex, age)])}")
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def emit_projection_csv(series: Iterable[tuple[str, ProjectionSeries]], path):
+    """Write ``year,region,sex,age,count`` rows, one region at a time, in
+    the order given and within a region by (year, sex F then M, age).
+
+    ``series`` may be a generator, so only one region's frames need to
+    exist at once. A file left incomplete by an error is removed.
+    """
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot write file: {exc}") from exc
+    try:
+        with fh:
+            fh.write(",".join(PROJECTION_HEADER) + "\n")
+            for code, projection in series:
+                ages = projection.axis.ages()
+                cells = [f"{sex.value},{age}," for sex in SEX_ROWS for age in ages]
+                frames = projection.counts.reshape(len(projection.counts), -1).tolist()
+                for k, values in enumerate(frames):
+                    prefix = f"{projection.start + k},{code},"
+                    fh.write("".join([f"{prefix}{cell}{v!r}\n" for cell, v in zip(cells, values)]))
+    except (OSError, UidforgeError) as exc:
+        Path(path).unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ParseError(path, 0, f"cannot write file: {exc}") from exc
+        raise
 
 
 def emit_flows_csv(flows: Sequence[StateFlows], path):

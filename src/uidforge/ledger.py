@@ -15,15 +15,20 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .core import AgePyramid, FertilityConfig, RegionId, Sex, SurvivalSchedule
 from .errors import ConsistencyError, DomainError
 from .projection import (
     BirthCount,
     apply_infant_survival,
-    deaths_by_age,
-    project_births,
-    survive_cohorts,
+    death_counts,
+    project_population,
 )
+
+# The projection's pyramid-level functions stay importable from this
+# module too: perfbench's traced runs wrap them here (spans.WRAP_POINTS).
+from .projection import deaths_by_age, project_births, survive_cohorts  # noqa: F401
 
 #: Age at which a child linkage becomes a card of its own.
 CARD_AGE = 15
@@ -291,6 +296,19 @@ def _round_half_even(x: float) -> int:
     return int(round(x))
 
 
+def _issue_age15_cards(new_cards: float, ledger: CardLedger) -> CardLedger:
+    rounded = _round_half_even(new_cards)
+    if ledger.child_links - rounded < 0:
+        raise ConsistencyError(
+            f"age-15 transition needs {rounded} child links, ledger has {ledger.child_links}"
+        )
+    return replace(
+        ledger,
+        child_links=ledger.child_links - rounded,
+        issued_this_year=ledger.issued_this_year + rounded,
+    )
+
+
 def age15_transition(
     pop: AgePyramid, survival: SurvivalSchedule, ledger: CardLedger
 ) -> tuple[float, CardLedger]:
@@ -304,17 +322,28 @@ def age15_transition(
     new_cards = sum(
         pop.count(sex, CARD_AGE - 1) * survival.prob(sex, CARD_AGE - 1) for sex in Sex
     )
-    rounded = _round_half_even(new_cards)
-    if ledger.child_links - rounded < 0:
+    return new_cards, _issue_age15_cards(new_cards, ledger)
+
+
+def _return_cards(returned: float, released: float, ledger: CardLedger) -> CardLedger:
+    """Take ``returned`` physical cards out of the inventory and release
+    ``released`` child links (both rounded half to even)."""
+    returns = _round_half_even(returned)
+    child_returns = _round_half_even(released)
+    if ledger.active_cards - returns < 0:
         raise ConsistencyError(
-            f"age-15 transition needs {rounded} child links, ledger has {ledger.child_links}"
+            f"cannot return {returns} cards from an inventory of {ledger.active_cards}"
         )
-    updated = replace(
+    if ledger.child_links - child_returns < 0:
+        raise ConsistencyError(
+            f"cannot release {child_returns} child links, ledger has {ledger.child_links}"
+        )
+    return replace(
         ledger,
-        child_links=ledger.child_links - rounded,
-        issued_this_year=ledger.issued_this_year + rounded,
+        active_cards=ledger.active_cards - returns,
+        returned_this_year=ledger.returned_this_year + returns,
+        child_links=ledger.child_links - child_returns,
     )
-    return new_cards, updated
 
 
 def process_card_returns(
@@ -342,22 +371,7 @@ def process_card_returns(
             adult += n
         else:
             child += n
-    returns = _round_half_even(adult + emigrants)
-    child_returns = _round_half_even(child)
-    if ledger.active_cards - returns < 0:
-        raise ConsistencyError(
-            f"cannot return {returns} cards from an inventory of {ledger.active_cards}"
-        )
-    if ledger.child_links - child_returns < 0:
-        raise ConsistencyError(
-            f"cannot release {child_returns} child links, ledger has {ledger.child_links}"
-        )
-    return replace(
-        ledger,
-        active_cards=ledger.active_cards - returns,
-        returned_this_year=ledger.returned_this_year + returns,
-        child_links=ledger.child_links - child_returns,
-    )
+    return _return_cards(adult + emigrants, child, ledger)
 
 
 def start_year(ledger: CardLedger) -> CardLedger:
@@ -410,11 +424,14 @@ def run_card_simulation(
     """Project the population ``horizon`` years and account each year's
     card demand, returns and ledger state.
 
-    Per year, new cards are the policy-counted births plus (except under
+    The frames come from :func:`project_population`. Per year, new cards
+    are the policy-counted births plus (except under
     NUMBER_AND_CARD_AT_BIRTH) the age-15 transitions, plus migration
-    in-flows split evenly between the sexes; returns are deaths at ages
-    15+ plus migration out-flows. The ledger list starts with the
-    initial ledger followed by one end-of-year snapshot per year, so
+    in-flows split evenly between the sexes; returns are the deaths of
+    card holders (ages 15+, or every age under NUMBER_AND_CARD_AT_BIRTH)
+    plus migration out-flows, the same figure the ledger returns. The
+    ledger list starts with the initial ledger followed by one
+    end-of-year snapshot per year, so
     active(y) = active(y-1) + issued(y) - returned(y) holds exactly.
     """
     if horizon < 1:
@@ -439,39 +456,41 @@ def run_card_simulation(
             )
     inflow = _annual_inflow(flows)
     outflow = _annual_outflow(flows)
-    include_age15 = not cards_at_birth
 
+    series = project_population(pop, survival, fert, horizon)
+    s = survival.array
+    frames, newborn = series.counts[:-1], series.counts[1:, :, 0]
+    deaths = death_counts(frames, s)
+    if cards_at_birth:
+        returned = deaths.sum(axis=(1, 2)) + outflow
+        released = np.zeros(horizon)
+        age15 = np.zeros((horizon, 2))
+    else:
+        returned = deaths[..., CARD_AGE:].sum(axis=(1, 2)) + outflow
+        released = deaths[..., :CARD_AGE].sum(axis=(1, 2))
+        age15 = frames[..., CARD_AGE - 1] * s[:, CARD_AGE - 1]
+
+    male, female = Sex.MALE.row, Sex.FEMALE.row
     rows = []
     ledgers = [ledger]
-    frame = pop
-    for _ in range(horizon):
+    years = zip(newborn.tolist(), age15.tolist(), returned.tolist(), released.tolist())
+    for k, (born, at15, out_cards, out_links) in enumerate(years):
         year_ledger = start_year(ledgers[-1])
-        births = project_births(frame, survival, fert)
-        counted = _counted_births(births, fert, policy)
-
-        age15_by_sex = {
-            sex: frame.count(sex, CARD_AGE - 1) * survival.prob(sex, CARD_AGE - 1)
-            for sex in Sex
-        }
-        if include_age15:
-            _, year_ledger = age15_transition(frame, survival, year_ledger)
-        else:
-            age15_by_sex = {sex: 0.0 for sex in Sex}
-
-        deaths = deaths_by_age(frame, survival)
-        year_ledger = process_card_returns(
-            deaths, outflow, year_ledger, children_hold_cards=cards_at_birth
+        births = BirthCount(
+            born[male] + born[female], {Sex.MALE: born[male], Sex.FEMALE: born[female]}
         )
+        counted = _counted_births(births, fert, policy)
+        year_ledger = _issue_age15_cards(at15[male] + at15[female], year_ledger)
+        year_ledger = _return_cards(out_cards, out_links, year_ledger)
 
-        new_male = counted.sex_count(Sex.MALE) + age15_by_sex[Sex.MALE] + inflow / 2.0
-        new_female = counted.sex_count(Sex.FEMALE) + age15_by_sex[Sex.FEMALE] + inflow / 2.0
-        returned = sum(n for (s, a), n in deaths.items() if a >= CARD_AGE) + outflow
+        new_male = counted.sex_count(Sex.MALE) + at15[male] + inflow / 2.0
+        new_female = counted.sex_count(Sex.FEMALE) + at15[female] + inflow / 2.0
         rows.append(
             DemandRow(
-                year=frame.time_label + 1,
+                year=series.start + k + 1,
                 new_cards_male=new_male,
                 new_cards_female=new_female,
-                returned_cards=returned,
+                returned_cards=out_cards,
             )
         )
 
@@ -485,12 +504,6 @@ def run_card_simulation(
             child_links=year_ledger.child_links + new_links,
         )
         ledgers.append(finish_year(year_ledger))
-
-        nxt = survive_cohorts(frame, survival, 1)
-        cells = dict(nxt.counts)
-        cells[(Sex.MALE, 0)] = births.sex_count(Sex.MALE)
-        cells[(Sex.FEMALE, 0)] = births.sex_count(Sex.FEMALE)
-        frame = AgePyramid(nxt.region, nxt.time_label, nxt.axis, cells)
 
     return DemandSeries(pop.time_label + 1, tuple(rows)), ledgers
 

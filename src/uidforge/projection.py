@@ -14,6 +14,21 @@ equation
 
 and age groups are survived by summing the single-year cohorts of the
 group (rectangle rule on single-year cells).
+
+The arithmetic runs on float64 arrays of shape ``(2, n_ages)`` (rows in
+:data:`~uidforge.core.SEX_ROWS` order), the Leslie-matrix form of the
+model: the one-year step is a shifted multiply with births written into
+age 0, survival over a span is the left-to-right product of the one-year
+factors, and deaths are ``P * (1 - s)``. Every caller goes through these
+functions: :func:`project_population` steps each year with
+:func:`project_births` and :func:`survive_cohorts` on pyramids whose
+counts read straight from the array
+(:meth:`~uidforge.core.AgePyramid.from_array`), and the card ledger
+consumes its frames. Cells are validated where data enters (the CSV
+loaders, :func:`~uidforge.core.validate_pyramid`), not re-checked here.
+A :class:`ProjectionSeries` keeps all frames in one
+``(horizon + 1, 2, n_ages)`` array and builds :class:`AgePyramid`
+frames only when asked.
 """
 
 from __future__ import annotations
@@ -21,16 +36,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .core import (
     REPRODUCTIVE_AGE_MAX,
     REPRODUCTIVE_AGE_MIN,
+    SEX_ROWS,
+    AgeAxis,
     AgePyramid,
     FertilityConfig,
+    RegionId,
     Sex,
     SurvivalSchedule,
-    multi_year_survival,
 )
 from .errors import DomainError
+
+_BAND = slice(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)
 
 
 @dataclass(frozen=True)
@@ -58,22 +79,36 @@ class BirthCount:
         return cls(total, {Sex.MALE: male, Sex.FEMALE: female})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionSeries:
-    """Annual projection frames; frame 0 is the input pyramid."""
+    """Annual projection frames of one region; frame 0 holds the input
+    pyramid's cells (missing cells as 0). ``counts[k]`` is frame k as a
+    ``(2, n_ages)`` array."""
 
-    horizon: int
-    frames: tuple
+    region: RegionId
+    start: int
+    axis: AgeAxis
+    counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if len(self.frames) != self.horizon + 1:
+        if self.counts.ndim != 3 or self.counts.shape[1:] != (2, self.axis.n_ages):
             raise DomainError(
-                f"series needs horizon+1 frames, got {len(self.frames)} for horizon {self.horizon}"
+                f"series needs a (horizon+1, 2, {self.axis.n_ages}) array, "
+                f"got shape {self.counts.shape}"
             )
+        self.counts.flags.writeable = False
+
+    @property
+    def horizon(self) -> int:
+        return len(self.counts) - 1
 
     def frame(self, k: int) -> AgePyramid:
-        return self.frames[k]
+        k = range(len(self.counts))[k]
+        return AgePyramid.from_array(self.region, self.start + k, self.axis, self.counts[k])
+
+    @property
+    def frames(self) -> tuple:
+        return tuple(self.frame(k) for k in range(len(self.counts)))
 
 
 def _check_axes(pop: AgePyramid, survival: SurvivalSchedule):
@@ -82,6 +117,44 @@ def _check_axes(pop: AgePyramid, survival: SurvivalSchedule):
             f"pyramid axis (max_age {pop.axis.max_age}) does not match "
             f"survival axis (max_age {survival.axis.max_age})"
         )
+
+
+def _check_reproductive_cells(pop: AgePyramid):
+    if pop.complete and pop.axis.max_age >= REPRODUCTIVE_AGE_MAX:
+        return
+    missing = [
+        x
+        for x in range(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)
+        if not pop.has_cell(Sex.FEMALE, x)
+    ]
+    if missing:
+        raise DomainError(f"pyramid lacks female counts at reproductive ages {missing}")
+
+
+def death_counts(counts: np.ndarray, survival: np.ndarray) -> np.ndarray:
+    """Expected deaths during one year by sex and age at the start of the
+    year, for counts of shape ``(..., 2, n_ages)``."""
+    return counts * (1.0 - survival)
+
+
+def _births(counts: np.ndarray, survival: np.ndarray, fert: FertilityConfig) -> BirthCount:
+    """Births from ``(2, n_ages)`` counts and survival; the terms are
+    accumulated in age order, 15 first."""
+    f = Sex.FEMALE.row
+    terms = survival[f, _BAND] * counts[f, _BAND] * fert.band_rates * fert.eligible_proportion
+    return BirthCount.split(float(np.cumsum(terms)[-1]), fert.male_share)
+
+
+def _survive(counts: np.ndarray, survival: np.ndarray, span: int) -> np.ndarray:
+    """Cohorts aged ``span`` years; the factor for age x is the
+    left-to-right product s(x) * s(x+1) * ... * s(x+span-1)."""
+    n = counts.shape[-1]
+    factor = survival[..., : n - span]
+    for k in range(1, span):
+        factor = factor * survival[..., k : n - span + k]
+    out = np.zeros_like(counts)
+    out[..., span:] = counts[..., : n - span] * factor
+    return out
 
 
 def project_births(
@@ -93,22 +166,8 @@ def project_births(
     age 15..49; a missing cell is a data error, not an implicit zero.
     """
     _check_axes(pop, survival)
-    missing = [
-        x
-        for x in range(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)
-        if not pop.has_cell(Sex.FEMALE, x)
-    ]
-    if missing:
-        raise DomainError(f"pyramid lacks female counts at reproductive ages {missing}")
-    total = 0.0
-    for x in range(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1):
-        total += (
-            survival.prob(Sex.FEMALE, x)
-            * pop.count(Sex.FEMALE, x)
-            * fert.rate(x)
-            * fert.eligible_proportion
-        )
-    return BirthCount.split(total, fert.male_share)
+    _check_reproductive_cells(pop)
+    return _births(pop.array, survival.array, fert)
 
 
 def apply_infant_survival(births: BirthCount, fert: FertilityConfig) -> BirthCount:
@@ -139,15 +198,9 @@ def survive_cohorts(
         raise DomainError(f"span must be >= 1, got {span}")
     if span > omega:
         raise DomainError(f"span {span} exceeds the age axis (max_age {omega})")
-    cells = {}
-    for sex in Sex:
-        for age in pop.axis.ages():
-            cells[(sex, age)] = 0.0
-        for x in range(0, omega - span + 1):
-            cells[(sex, x + span)] = pop.count(sex, x) * multi_year_survival(
-                survival, sex, x, span
-            )
-    return AgePyramid(pop.region, pop.time_label + span, pop.axis, cells)
+    return AgePyramid.from_array(
+        pop.region, pop.time_label + span, pop.axis, _survive(pop.array, survival.array, span)
+    )
 
 
 def age_group_survivors(
@@ -177,13 +230,9 @@ def age_group_survivors(
             f"group [{start_age}, {start_age + width}) surviving {span} years "
             f"leaves the axis 0..{omega}"
         )
-    sexes = list(Sex) if sex is None else [sex]
-    total = 0.0
-    for s in sexes:
-        for t in range(width):
-            x = start_age + t
-            total += pop.count(s, x) * multi_year_survival(survival, s, x, span)
-    return total
+    survived = _survive(pop.array, survival.array, span) if span else pop.array
+    rows = [0, 1] if sex is None else [sex.row]
+    return float(survived[rows, start_age + span : start_age + span + width].sum())
 
 
 def project_population(
@@ -201,23 +250,24 @@ def project_population(
     """
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
-    frames = [pop]
-    for _ in range(horizon):
-        current = frames[-1]
-        births = project_births(current, survival, fert)
-        nxt = survive_cohorts(current, survival, 1)
-        cells = dict(nxt.counts)
-        cells[(Sex.MALE, 0)] = births.sex_count(Sex.MALE)
-        cells[(Sex.FEMALE, 0)] = births.sex_count(Sex.FEMALE)
-        frames.append(AgePyramid(nxt.region, nxt.time_label, nxt.axis, cells))
-    return ProjectionSeries(horizon, tuple(frames))
+    counts = np.empty((horizon + 1, 2, pop.axis.n_ages))
+    counts[0] = pop.array
+    frame = pop
+    for k in range(1, horizon + 1):
+        births = project_births(frame, survival, fert)
+        counts[k] = survive_cohorts(frame, survival, 1).array
+        counts[k, Sex.MALE.row, 0] = births.sex_count(Sex.MALE)
+        counts[k, Sex.FEMALE.row, 0] = births.sex_count(Sex.FEMALE)
+        frame = AgePyramid.from_array(pop.region, pop.time_label + k, pop.axis, counts[k])
+    return ProjectionSeries(pop.region, pop.time_label, pop.axis, counts)
 
 
 def deaths_by_age(pop: AgePyramid, survival: SurvivalSchedule) -> dict:
-    """Expected deaths during one year as a (sex, age-at-start) mapping."""
+    """Expected deaths during one year as a (sex, age-at-start) mapping
+    over the pyramid's nonzero cells."""
     _check_axes(pop, survival)
-    out = {}
-    for (sex, age), v in pop.counts.items():
-        if v:
-            out[(sex, age)] = v * (1.0 - survival.prob(sex, age))
-    return out
+    deaths = death_counts(pop.array, survival.array)
+    rows, ages = np.nonzero(pop.array)
+    return {
+        (SEX_ROWS[r], a): deaths[r, a].item() for r, a in zip(rows.tolist(), ages.tolist())
+    }

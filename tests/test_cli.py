@@ -95,6 +95,84 @@ class TestProjectCommand:
         years = {line.split(",")[0] for line in lines[1:]}
         assert years == {"2011", "2012", "2013", "2014"}
 
+    def test_multi_region_rows_match_per_region_projection(self, tmp_path):
+        # three regions, each with its own schedule; B lacks its top ages
+        from uidforge import AgeAxis, FertilityConfig, Sex, project_population
+        from uidforge.csvio import format_count, load_population_csv, load_survival_csv
+
+        pop_lines = ["region,sex,age,count"]
+        surv_lines = ["region,sex,age,p"]
+        for i, code in enumerate(("C", "A", "B")):
+            for sex in ("M", "F"):
+                for age in range(61):
+                    if code != "B" or age < 58:
+                        pop_lines.append(f"{code},{sex},{age},{1000.0 + 37.5 * i + age / 3}")
+                    p = 0.0 if age == 60 else 0.99 - 0.01 * i - 0.002 * age
+                    surv_lines.append(f"{code},{sex},{age},{p}")
+        population = tmp_path / "pop.csv"
+        population.write_text("\n".join(pop_lines) + "\n", encoding="utf-8")
+        survival = tmp_path / "surv.csv"
+        survival.write_text("\n".join(surv_lines) + "\n", encoding="utf-8")
+        fertility = write_fertility(tmp_path / "fert.csv")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "project",
+                "--population", str(population),
+                "--survival", str(survival),
+                "--fertility", str(fertility),
+                "--horizon", "4",
+                "--sex-ratio", "1.05",
+                "--eligible-proportion", "0.9",
+                "--max-age", "60",
+                "--base-year", "2011",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+
+        axis = AgeAxis(60)
+        pyramids = load_population_csv(population, axis, 2011)
+        schedules = load_survival_csv(survival, axis)
+        fert = FertilityConfig(
+            {age: 0.08 for age in range(15, 50)}, eligible_proportion=0.9, sex_ratio_at_birth=1.05
+        )
+        lines = ["year,region,sex,age,count"]
+        for region in sorted(pyramids):
+            series = project_population(
+                pyramids[region].densified(), schedules[region], fert, 4
+            )
+            for frame in series.frames:
+                for sex in (Sex.FEMALE, Sex.MALE):
+                    for age in axis.ages():
+                        lines.append(
+                            f"{frame.time_label},{region},{sex.value},{age},"
+                            f"{format_count(frame.count(sex, age))}"
+                        )
+        expected = ("\n".join(lines) + "\n").encode("utf-8")
+        assert (out / "projection.csv").read_bytes() == expected
+        assert len(lines) == 1 + 3 * 5 * 2 * 61
+
+    def test_failed_projection_leaves_no_file(self, inputs, tmp_path, capsys):
+        # an axis ending before the reproductive ages fails at the first step
+        population = write_population(tmp_path / "short.csv", max_age=30, female={20: 10.0})
+        survival = write_survival(tmp_path / "short_surv.csv", max_age=30)
+        code = main(
+            [
+                "project",
+                "--population", str(population),
+                "--survival", str(survival),
+                "--fertility", str(inputs["fertility"]),
+                "--horizon", "2",
+                "--sex-ratio", "1.05",
+                "--max-age", "30",
+                "--out", str(inputs["out"]),
+            ]
+        )
+        assert code == 1
+        assert "reproductive ages" in capsys.readouterr().err
+        assert not (inputs["out"] / "projection.csv").exists()
+
     def test_missing_required_flag_fails(self, inputs, capsys):
         code = main(
             [
@@ -213,6 +291,24 @@ class TestCoverageCommand:
         back = load_population_csv(inputs["out"] / "adjusted_population.csv", AgeAxis(60))
         assert back["IN"].total(Sex.FEMALE) == pytest.approx(1700 + 170, rel=1e-12)
         assert back["IN"].total(Sex.MALE) == 800.0
+
+
+    def test_non_finite_count_fails_cleanly(self, inputs, tmp_path, capsys):
+        population = write_population(tmp_path / "nan.csv", female={20: "nan"})
+        code = main(
+            [
+                "coverage",
+                "--population", str(population),
+                "--omission", "20",
+                "--max-age", "60",
+                "--out", str(inputs["out"]),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "nan.csv:42:" in err and "not finite" in err
+        assert not (inputs["out"] / "adjusted_population.csv").exists()
 
 
 class TestEstimateCommand:

@@ -66,6 +66,14 @@ class TestLoadPopulation:
         assert err.value.line_no == 2
         assert "pop.csv" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_count_rejected_with_line(self, tmp_path, text):
+        path = write(tmp_path, "pop.csv", f"region,sex,age,count\nIN,F,20,1\nIN,F,21,{text}\n")
+        with pytest.raises(DataError, match="not finite") as err:
+            load_population_csv(path)
+        assert err.value.line_no == 3
+        assert "pop.csv" in str(err.value)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write(
             tmp_path, "pop.csv", "region,sex,age,count\nIN,F,20,1\nIN,F,20,2\n"

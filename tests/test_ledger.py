@@ -380,6 +380,24 @@ class TestCardSimulation:
             assert cur.active_cards == prev.active_cards + cur.issued_this_year - cur.returned_this_year
             assert cur.child_links == 0
 
+    @pytest.mark.parametrize("policy", list(IssuancePolicy))
+    def test_returned_cards_match_the_ledger(self, region, policy):
+        # under every policy the row reports the returns the ledger books,
+        # children's cards included when they hold one
+        pop, sched, fert, flows = toy_inputs(region)
+        series, ledgers = run_card_simulation(pop, sched, fert, flows, 5, policy)
+        for row, ledger in zip(series.rows, ledgers[1:]):
+            assert row.year == ledger.year
+            assert round(row.returned_cards) == ledger.returned_this_year
+
+    def test_full_policy_returns_count_child_deaths(self, region):
+        pop, sched, fert, flows = toy_inputs(region)
+        full = annual_card_requirement_series(
+            pop, sched, fert, flows, 1, IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH
+        )
+        # year 1: deaths 84 at 15+ and 4 + 4 at age 14, plus out-flow 13
+        assert full.rows[0].returned_cards == pytest.approx(84.0 + 8.0 + 13.0, rel=1e-12)
+
     def test_mixed_flow_kinds_rejected(self, region):
         pop, sched, fert, _ = toy_inputs(region)
         mixed = [count_flow("A", 0, 0, 1, 1, 0, 0), rate_flow("B", 1e3, 0.0, 0.0, 0.0, 0.0)]

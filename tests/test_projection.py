@@ -14,6 +14,7 @@ from uidforge import (
     SurvivalSchedule,
     age_group_survivors,
     apply_infant_survival,
+    multi_year_survival,
     project_births,
     project_population,
     survive_cohorts,
@@ -159,6 +160,38 @@ class TestSurviveCohorts:
         pop = dense_pyramid(region, 0, axis, female=dict(enumerate(counts)))
         out = survive_cohorts(pop, sched, span)
         assert out.total() <= pop.total() * (1 + 1e-12)
+
+    @given(
+        probs=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=40, max_size=40
+        ),
+        counts=st.lists(
+            st.floats(min_value=0.0, max_value=1e9, allow_nan=False), min_size=40, max_size=40
+        ),
+        span=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference_composition_cell_by_cell(self, probs, counts, span):
+        # the array step against the per-cell reference, bit for bit
+        axis = AgeAxis(19)
+        region = RegionId("X")
+        cells = {
+            (s, x): (probs[x + 20 * (s is Sex.MALE)] if x < 19 else 0.0)
+            for s in Sex
+            for x in axis.ages()
+        }
+        sched = SurvivalSchedule(region, axis, cells)
+        pop = dense_pyramid(
+            region, 0, axis, female=dict(enumerate(counts[:20])), male=dict(enumerate(counts[20:]))
+        )
+        out = survive_cohorts(pop, sched, span)
+        for sex in Sex:
+            for x in axis.ages():
+                if x + span <= axis.max_age:
+                    expected = pop.count(sex, x) * multi_year_survival(sched, sex, x, span)
+                    assert out.count(sex, x + span) == expected
+            for x in range(span):
+                assert out.count(sex, x) == 0.0
 
     @given(span=st.integers(min_value=101, max_value=150))
     @settings(max_examples=10, deadline=None)
