@@ -18,7 +18,6 @@ from .bayes import (
     ChainSummary,
     DemandObservation,
     PosteriorChain,
-    PriorFamily,
     PriorSpec,
     conjugate_posterior,
     log_posterior_unnormalized,
@@ -59,9 +58,9 @@ from .ledger import (
     CardLedger,
     DemandRow,
     DemandSeries,
-    FlowKind,
     IssuancePolicy,
     StateFlows,
+    StateRates,
     age15_transition,
     annual_card_requirement_series,
     counts_from_rates,

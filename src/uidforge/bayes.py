@@ -13,16 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, InitializationError, InsufficientDataError
-
-
-class PriorFamily(Enum):
-    GAMMA = "gamma"
 
 
 @dataclass(frozen=True)
@@ -43,15 +38,16 @@ class DemandObservation:
 
 @dataclass(frozen=True)
 class PriorSpec:
+    """Gamma(shape, rate) prior on beta."""
+
     shape: float
     rate: float
-    family: PriorFamily = PriorFamily.GAMMA
 
     def __post_init__(self):
-        if self.family is not PriorFamily.GAMMA:
-            raise DomainError(f"unsupported prior family {self.family!r}")
-        if not (self.shape > 0 and self.rate > 0):
-            raise DomainError("prior shape and rate must be > 0")
+        for name in ("shape", "rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"prior {name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +131,8 @@ def metropolis_sample(
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    if not proposal_scale > 0:
-        raise DomainError(f"proposal_scale must be > 0, got {proposal_scale}")
+    if not (math.isfinite(proposal_scale) and proposal_scale > 0):
+        raise DomainError(f"proposal_scale must be finite and > 0, got {proposal_scale}")
 
     shape_eff, rate_eff, _ = _reduced_params(data, prior)
 
@@ -148,6 +144,10 @@ def metropolis_sample(
         return shape_eff * theta - rate_eff * math.exp(theta)
 
     beta0 = prior.shape / prior.rate
+    if not (math.isfinite(beta0) and beta0 > 0):
+        raise InitializationError(
+            f"starting point beta = shape / rate = {beta0!r} is not finite and > 0"
+        )
     theta = math.log(beta0)
     current = log_target(theta)
     if not math.isfinite(current):

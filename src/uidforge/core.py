@@ -87,6 +87,13 @@ class RegionId:
             raise DomainError("region code must be non-empty")
 
 
+def require_finite_nonnegative(name: str, value) -> None:
+    """Raise :class:`DomainError` unless ``value`` is finite and >= 0
+    (``nan`` and ``inf`` pass a bare ``< 0`` check, so test both)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _freeze_mapping(raw) -> Mapping:
     return MappingProxyType(dict(raw))
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import AgePyramid, Sex
+from .core import AgePyramid, Sex, require_finite_nonnegative
 from .errors import AllocationError, DomainError, UndefinedEstimateError
 
 
@@ -43,12 +43,11 @@ class CoverageConfig:
     def __post_init__(self):
         if not 0.0 <= self.omission_per_1000 < 1000.0:
             raise DomainError("omission_per_1000 must lie in [0, 1000)")
-        if self.houseless_rural < 0 or self.houseless_urban < 0:
-            raise DomainError("houseless counts must be >= 0")
+        require_finite_nonnegative("houseless_rural", self.houseless_rural)
+        require_finite_nonnegative("houseless_urban", self.houseless_urban)
         unknowns = dict(self.unknown_age_counts or {})
         for sex, n in unknowns.items():
-            if n < 0:
-                raise DomainError(f"unknown-age count for {sex} must be >= 0")
+            require_finite_nonnegative(f"unknown-age count for {sex}", n)
         object.__setattr__(self, "unknown_age_counts", unknowns)
 
     def unknown(self, sex: Sex) -> float:

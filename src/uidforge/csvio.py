@@ -11,11 +11,17 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .core import SEX_ROWS, AgeAxis, AgePyramid, RegionId, RegionLevel, Sex, SurvivalSchedule
 from .errors import DataError, DomainError, InsufficientDataError, ParseError, UidforgeError
-from .ledger import DemandSeries, StateFlows, check_interstate_closure
+from .ledger import (
+    DemandSeries,
+    StateFlows,
+    StateRates,
+    check_interstate_closure,
+    counts_from_rates,
+)
 from .projection import ProjectionSeries
 
 POPULATION_HEADER = ["region", "sex", "age", "count"]
@@ -111,62 +117,39 @@ def load_population_csv(
     }
 
 
+def _rate_row(state: RegionId, *rates: float) -> StateFlows:
+    return counts_from_rates(StateRates(state, *rates))
+
+
+#: Flows header -> the constructor of one row's StateFlows.
+_FLOW_RECORDS = {tuple(FLOWS_RATE_HEADER): _rate_row, tuple(FLOWS_COUNT_HEADER): StateFlows}
+
+
 def load_flows_csv(path) -> list[StateFlows]:
-    """Load per-state flows; the header decides whether the file is
-    rate-based or count-based. Count-based loads must satisfy interstate
-    closure (total in == total out)."""
+    """Load per-state flows as event counts; the header decides whether
+    the file is rate-based or count-based. A rate row becomes the counts
+    it implies (:func:`counts_from_rates`). Count-based loads must
+    satisfy interstate closure (total in == total out)."""
     rows = _read_rows(path)
     if not rows:
         raise ParseError(path, 1, "empty file; expected a flows header")
     header = [h.strip() for h in rows[0][1]]
-    if header == FLOWS_RATE_HEADER:
-        return _load_rate_flows(path, rows[1:])
-    if header == FLOWS_COUNT_HEADER:
-        return _load_count_flows(path, rows[1:])
-    raise ParseError(
-        path,
-        rows[0][0],
-        "header matches neither the rate schema "
-        f"({','.join(FLOWS_RATE_HEADER)}) nor the count schema "
-        f"({','.join(FLOWS_COUNT_HEADER)})",
-    )
-
-
-def _load_rate_flows(path, rows) -> list[StateFlows]:
-    out = []
-    seen = set()
-    for line_no, row in rows:
-        if not row:
-            continue
-        if len(row) != len(FLOWS_RATE_HEADER):
-            raise ParseError(path, line_no, f"expected 6 fields, got {len(row)}")
-        state = row[0].strip()
-        if not state:
-            raise ParseError(path, line_no, "state code is empty")
-        if state in seen:
-            raise DataError(path, line_no, f"duplicate state {state!r}")
-        seen.add(state)
-        pop, b, d, m, e = (
-            _parse_float(path, line_no, name, txt)
-            for name, txt in zip(("population", "b", "d", "m", "e"), row[1:])
+    record = _FLOW_RECORDS.get(tuple(header))
+    if record is None:
+        raise ParseError(
+            path,
+            rows[0][0],
+            "header matches neither the rate schema "
+            f"({','.join(FLOWS_RATE_HEADER)}) nor the count schema "
+            f"({','.join(FLOWS_COUNT_HEADER)})",
         )
-        try:
-            out.append(
-                StateFlows.from_rates(RegionId(state, RegionLevel.STATE), pop, b, d, m, e)
-            )
-        except DomainError as exc:
-            raise DataError(path, line_no, str(exc)) from exc
-    return out
-
-
-def _load_count_flows(path, rows) -> list[StateFlows]:
     out = []
     seen = set()
-    for line_no, row in rows:
+    for line_no, row in rows[1:]:
         if not row:
             continue
-        if len(row) != len(FLOWS_COUNT_HEADER):
-            raise ParseError(path, line_no, f"expected 7 fields, got {len(row)}")
+        if len(row) != len(header):
+            raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
         state = row[0].strip()
         if not state:
             raise ParseError(path, line_no, "state code is empty")
@@ -174,16 +157,14 @@ def _load_count_flows(path, rows) -> list[StateFlows]:
             raise DataError(path, line_no, f"duplicate state {state!r}")
         seen.add(state)
         values = [
-            _parse_float(path, line_no, name, txt)
-            for name, txt in zip(FLOWS_COUNT_HEADER[1:], row[1:])
+            _parse_float(path, line_no, name, txt) for name, txt in zip(header[1:], row[1:])
         ]
         try:
-            out.append(
-                StateFlows.from_counts(RegionId(state, RegionLevel.STATE), *values)
-            )
+            out.append(record(RegionId(state, RegionLevel.STATE), *values))
         except DomainError as exc:
             raise DataError(path, line_no, str(exc)) from exc
-    check_interstate_closure(out)
+    if record is StateFlows:
+        check_interstate_closure(out)
     return out
 
 
@@ -228,49 +209,6 @@ def emit_projection_csv(series: Iterable[tuple[str, ProjectionSeries]], path):
         if isinstance(exc, OSError):
             raise ParseError(path, 0, f"cannot write file: {exc}") from exc
         raise
-
-
-def emit_flows_csv(flows: Sequence[StateFlows], path):
-    """Write flows in whichever schema the records use."""
-    if not flows:
-        raise DomainError("cannot infer a schema from an empty flow list")
-    from .ledger import FlowKind
-
-    kind = flows[0].kind
-    if any(f.kind is not kind for f in flows):
-        raise DomainError("cannot mix rate- and count-based records in one file")
-    if kind is FlowKind.RATE:
-        lines = [",".join(FLOWS_RATE_HEADER)]
-        for f in flows:
-            lines.append(
-                ",".join(
-                    [f.state.code]
-                    + [
-                        format_count(v)
-                        for v in (f.population, f.birth_rate, f.death_rate, f.in_rate, f.out_rate)
-                    ]
-                )
-            )
-    else:
-        lines = [",".join(FLOWS_COUNT_HEADER)]
-        for f in flows:
-            lines.append(
-                ",".join(
-                    [f.state.code]
-                    + [
-                        format_count(v)
-                        for v in (
-                            f.births,
-                            f.deaths,
-                            f.interstate_in,
-                            f.interstate_out,
-                            f.immigration,
-                            f.emigration,
-                        )
-                    ]
-                )
-            )
-    _write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_demand_csv(series: DemandSeries, path):

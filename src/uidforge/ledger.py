@@ -11,13 +11,20 @@ on the return side alongside international migration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AgePyramid, FertilityConfig, RegionId, Sex, SurvivalSchedule
+from .core import (
+    AgePyramid,
+    FertilityConfig,
+    RegionId,
+    Sex,
+    SurvivalSchedule,
+    require_finite_nonnegative,
+)
 from .errors import ConsistencyError, DomainError
 from .projection import (
     BirthCount,
@@ -32,11 +39,6 @@ from .projection import deaths_by_age, project_births, survive_cohorts  # noqa: 
 
 #: Age at which a child linkage becomes a card of its own.
 CARD_AGE = 15
-
-
-class FlowKind(Enum):
-    RATE = "rate"
-    COUNT = "count"
 
 
 class IssuancePolicy(Enum):
@@ -55,93 +57,45 @@ class IssuancePolicy(Enum):
     NUMBER_AND_CARD_AT_BIRTH = "full"
 
 
-_RATE_FIELDS = ("population", "birth_rate", "death_rate", "in_rate", "out_rate")
-_COUNT_FIELDS = (
-    "births",
-    "deaths",
-    "interstate_in",
-    "interstate_out",
-    "immigration",
-    "emigration",
-)
+@dataclass(frozen=True)
+class StateFlows:
+    """Annual event counts for one state: the micro model's input and
+    the ledger's. Counts may be expected values (reals)."""
+
+    state: RegionId
+    births: float
+    deaths: float
+    interstate_in: float
+    interstate_out: float
+    immigration: float
+    emigration: float
+
+    def __post_init__(self):
+        _require_finite_nonnegative_fields(self)
 
 
 @dataclass(frozen=True)
-class StateFlows:
-    """Annual demographic flows for one state, either as per-person
-    rates against a population base or as raw event counts. A record is
-    one kind or the other, never mixed."""
+class StateRates:
+    """Annual per-person rates for one state against its population
+    base: the macro model's input. :func:`counts_from_rates` turns one
+    into the :class:`StateFlows` it implies."""
 
     state: RegionId
-    kind: FlowKind
-    population: float | None = None
-    birth_rate: float | None = None
-    death_rate: float | None = None
-    in_rate: float | None = None
-    out_rate: float | None = None
-    births: float | None = None
-    deaths: float | None = None
-    interstate_in: float | None = None
-    interstate_out: float | None = None
-    immigration: float | None = None
-    emigration: float | None = None
+    population: float
+    birth_rate: float
+    death_rate: float
+    in_rate: float
+    out_rate: float
 
     def __post_init__(self):
-        own = _RATE_FIELDS if self.kind is FlowKind.RATE else _COUNT_FIELDS
-        other = _COUNT_FIELDS if self.kind is FlowKind.RATE else _RATE_FIELDS
-        for name in own:
-            v = getattr(self, name)
-            if v is None:
-                raise DomainError(f"{self.kind.value}-based StateFlows needs {name}")
-            if v < 0:
-                raise DomainError(f"StateFlows.{name} must be >= 0, got {v}")
-        for name in other:
-            if getattr(self, name) is not None:
-                raise DomainError(
-                    f"{self.kind.value}-based StateFlows must not set {name}"
-                )
+        _require_finite_nonnegative_fields(self)
 
-    @classmethod
-    def from_rates(
-        cls,
-        state: RegionId,
-        population: float,
-        birth_rate: float,
-        death_rate: float,
-        in_rate: float,
-        out_rate: float,
-    ) -> "StateFlows":
-        return cls(
-            state,
-            FlowKind.RATE,
-            population=population,
-            birth_rate=birth_rate,
-            death_rate=death_rate,
-            in_rate=in_rate,
-            out_rate=out_rate,
-        )
 
-    @classmethod
-    def from_counts(
-        cls,
-        state: RegionId,
-        births: float,
-        deaths: float,
-        interstate_in: float,
-        interstate_out: float,
-        immigration: float,
-        emigration: float,
-    ) -> "StateFlows":
-        return cls(
-            state,
-            FlowKind.COUNT,
-            births=births,
-            deaths=deaths,
-            interstate_in=interstate_in,
-            interstate_out=interstate_out,
-            immigration=immigration,
-            emigration=emigration,
-        )
+def _require_finite_nonnegative_fields(record):
+    """Check every field after the leading ``state``."""
+    owner = type(record).__name__
+    for f in fields(record)[1:]:
+        require_finite_nonnegative(f"{owner}.{f.name}", getattr(record, f.name))
 
 
 @dataclass(frozen=True)
@@ -177,8 +131,7 @@ class DemandRow:
 
     def __post_init__(self):
         for name in ("new_cards_male", "new_cards_female", "returned_cards"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"DemandRow.{name} must be >= 0")
+            require_finite_nonnegative(f"DemandRow.{name}", getattr(self, name))
 
     @property
     def new_cards_total(self) -> float:
@@ -206,28 +159,18 @@ class DemandSeries:
                 )
 
 
-def _require_kind(flows: Iterable[StateFlows], kind: FlowKind, op: str):
-    for f in flows:
-        if f.kind is not kind:
-            raise DomainError(
-                f"{op} needs {kind.value}-based flows; state {f.state.code} is {f.kind.value}-based"
-            )
-
-
-def macro_net_card_change(flows: Sequence[StateFlows]) -> float:
+def macro_net_card_change(flows: Sequence[StateRates]) -> float:
     """Net change in active cards over the next year under the macro
     model: sum over states of (b - d + m - e) * population."""
-    _require_kind(flows, FlowKind.RATE, "macro_net_card_change")
     return sum(
         (f.birth_rate - f.death_rate + f.in_rate - f.out_rate) * f.population
         for f in flows
     )
 
 
-def macro_new_card_demand(flows: Sequence[StateFlows]) -> float:
+def macro_new_card_demand(flows: Sequence[StateRates]) -> float:
     """New cards needed over the next year under the macro model: only
     births and in-flows create demand, sum of (b + m) * population."""
-    _require_kind(flows, FlowKind.RATE, "macro_new_card_demand")
     return sum((f.birth_rate + f.in_rate) * f.population for f in flows)
 
 
@@ -247,8 +190,6 @@ def check_interstate_closure(flows: Sequence[StateFlows]):
 
 def micro_state_contribution(flow: StateFlows) -> float:
     """One state's signed contribution to the micro net card change."""
-    if flow.kind is not FlowKind.COUNT:
-        raise DomainError("micro contributions need count-based flows")
     return (
         flow.births
         - flow.deaths
@@ -263,7 +204,6 @@ def micro_net_card_change(flows: Sequence[StateFlows]) -> float:
     """Net change in cards from event counts: births - deaths +
     interstate in - interstate out + immigration - emigration, summed
     over states. Rejects flow sets whose interstate moves do not close."""
-    _require_kind(flows, FlowKind.COUNT, "micro_net_card_change")
     check_interstate_closure(flows)
     return sum(micro_state_contribution(f) for f in flows)
 
@@ -271,17 +211,14 @@ def micro_net_card_change(flows: Sequence[StateFlows]) -> float:
 def micro_new_card_demand(flows: Sequence[StateFlows]) -> float:
     """New cards to issue from event counts: births + interstate in +
     immigration. Deaths and out-flows never enter."""
-    _require_kind(flows, FlowKind.COUNT, "micro_new_card_demand")
     return sum(f.births + f.interstate_in + f.immigration for f in flows)
 
 
-def counts_from_rates(flow: StateFlows) -> StateFlows:
-    """Expected event counts implied by a rate-based record
+def counts_from_rates(flow: StateRates) -> StateFlows:
+    """Expected event counts implied by a rate record
     (count = rate x population, unrounded). In-rate maps to interstate
     in, out-rate to interstate out; international flows are zero."""
-    if flow.kind is not FlowKind.RATE:
-        raise DomainError("counts_from_rates needs a rate-based record")
-    return StateFlows.from_counts(
+    return StateFlows(
         flow.state,
         births=flow.birth_rate * flow.population,
         deaths=flow.death_rate * flow.population,
@@ -386,26 +323,6 @@ def finish_year(ledger: CardLedger) -> CardLedger:
     return replace(ledger, active_cards=ledger.active_cards + ledger.issued_this_year)
 
 
-def _annual_inflow(flows: Sequence[StateFlows]) -> float:
-    if not flows:
-        return 0.0
-    kind = flows[0].kind
-    _require_kind(flows, kind, "card demand flows")
-    if kind is FlowKind.RATE:
-        return sum(f.in_rate * f.population for f in flows)
-    return sum(f.interstate_in + f.immigration for f in flows)
-
-
-def _annual_outflow(flows: Sequence[StateFlows]) -> float:
-    if not flows:
-        return 0.0
-    kind = flows[0].kind
-    _require_kind(flows, kind, "card demand flows")
-    if kind is FlowKind.RATE:
-        return sum(f.out_rate * f.population for f in flows)
-    return sum(f.interstate_out + f.emigration for f in flows)
-
-
 def _counted_births(births: BirthCount, fert: FertilityConfig, policy: IssuancePolicy) -> BirthCount:
     if policy is IssuancePolicy.AT_AGE_ONE:
         return apply_infant_survival(births, fert)
@@ -454,8 +371,8 @@ def run_card_simulation(
                 active_cards=_round_half_even(over15),
                 child_links=_round_half_even(under15),
             )
-    inflow = _annual_inflow(flows)
-    outflow = _annual_outflow(flows)
+    inflow = sum(f.interstate_in + f.immigration for f in flows)
+    outflow = sum(f.interstate_out + f.emigration for f in flows)
 
     series = project_population(pop, survival, fert, horizon)
     s = survival.array

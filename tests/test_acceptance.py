@@ -20,6 +20,7 @@ from uidforge import (
     RegionLevel,
     Sex,
     StateFlows,
+    StateRates,
     SurvivalSchedule,
     annual_card_requirement_series,
     apply_omission_adjustment,
@@ -149,7 +150,7 @@ def test_criterion_05_macro_micro_agreement():
         for i in range(n_states):
             b, d, m, e = (float(x) for x in rng.uniform(0.0, 0.05, size=4))
             rates.append(
-                StateFlows.from_rates(
+                StateRates(
                     RegionId(f"S{i}", RegionLevel.STATE),
                     float(rng.uniform(1e4, 1e7)), b, d, m, e,
                 )
@@ -159,7 +160,7 @@ def test_criterion_05_macro_micro_agreement():
         if total_out > 0:
             scale = total_in / total_out
             rates = [
-                StateFlows.from_rates(
+                StateRates(
                     f.state, f.population, f.birth_rate, f.death_rate,
                     f.in_rate, f.out_rate * scale,
                 )
@@ -220,7 +221,7 @@ def national_demand_inputs():
         0.09, eligible_proportion=1.0, sex_ratio_at_birth=MALE_WEIGHT / FEMALE_WEIGHT
     )
     flows = [
-        StateFlows.from_counts(
+        StateFlows(
             RegionId("ALL", RegionLevel.STATE),
             births=0.0, deaths=0.0,
             interstate_in=2e5, interstate_out=2e5,
@@ -266,7 +267,7 @@ def toy_demand_inputs():
     survival = SurvivalSchedule.flat(RegionId("TOY"), axis, 0.96, 0.98)
     fert = FertilityConfig.flat(0.1, eligible_proportion=0.8, sex_ratio_at_birth=1.05)
     flows = [
-        StateFlows.from_counts(
+        StateFlows(
             RegionId("ST", RegionLevel.STATE), 0.0, 0.0, 10.0, 10.0, 5.0, 3.0
         )
     ]

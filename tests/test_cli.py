@@ -1,6 +1,8 @@
+from dataclasses import astuple
+
 import pytest
 
-from uidforge import DomainError
+from uidforge import DomainError, RegionId, RegionLevel, StateRates, counts_from_rates
 from uidforge.cli import RunConfig, main
 
 
@@ -252,6 +254,34 @@ class TestDemandCommand:
         assert main(args) == 1
         assert "single-region" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["at-birth", "at-age-one", "full"])
+    def test_rate_and_implied_count_schemas_write_the_same_demand(
+        self, inputs, tmp_path, policy
+    ):
+        # in/out rates balance: 0.03 * 1000 + 0.02 * 500 == 0.02 * 1000 + 0.04 * 500
+        rates = [
+            StateRates(RegionId("A", RegionLevel.STATE), 1000.0, 0.02, 0.008, 0.03, 0.02),
+            StateRates(RegionId("B", RegionLevel.STATE), 500.0, 0.018, 0.009, 0.02, 0.04),
+        ]
+        rate_lines = ["state,population,b,d,m,e"] + [
+            ",".join([r.state.code] + [repr(v) for v in astuple(r)[1:]]) for r in rates
+        ]
+        count_lines = ["state,births,deaths,in,out,immig,emig"] + [
+            ",".join([r.state.code] + [repr(v) for v in astuple(counts_from_rates(r))[1:]])
+            for r in rates
+        ]
+        written = {}
+        for schema, lines in (("rate", rate_lines), ("count", count_lines)):
+            flows = tmp_path / f"{schema}.csv"
+            flows.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out = tmp_path / schema
+            args = self.demand_args(inputs, "--policy", policy)
+            args[args.index(str(inputs["flows"]))] = str(flows)
+            args[args.index(str(inputs["out"]))] = str(out)
+            assert main(args) == 0
+            written[schema] = [(out / name).read_bytes() for name in ("demand.csv", "demand.svg")]
+        assert written["rate"] == written["count"]
+
 
 class TestCoverageCommand:
     def test_omission_adjustment(self, inputs, tmp_path):
@@ -351,6 +381,23 @@ class TestEstimateCommand:
         monkeypatch.delenv("UIDFORGE_SEED")
         assert main(self.estimate_args(tmp_path, out_b, "--seed", "2")) == 0
         assert (out_a / "posterior.csv").read_bytes() == (out_b / "posterior.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--prior-shape", "1", "--prior-rate", "inf"),
+            ("--prior-shape", "1e-320", "--prior-rate", "1e300"),
+            ("--proposal-scale", "inf"),
+        ],
+        ids=["infinite-prior-rate", "start-underflows-to-zero", "infinite-proposal-scale"],
+    )
+    def test_degenerate_prior_or_proposal_fails_in_one_line(self, tmp_path, capsys, extra):
+        out = tmp_path / "out"
+        assert main(self.estimate_args(tmp_path, out, *extra)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("uidforge estimate: error: ")
+        assert not (out / "posterior.csv").exists()
 
 
 class TestConfigFile:

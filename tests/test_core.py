@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 from uidforge import (
     AgeAxis,
     AgePyramid,
+    CoverageConfig,
+    DemandRow,
     DomainError,
     FertilityConfig,
     RegionId,
     RegionLevel,
     Sex,
+    StateFlows,
+    StateRates,
     SurvivalSchedule,
     multi_year_survival,
     validate_pyramid,
@@ -279,3 +283,33 @@ class TestPyramidBasics:
         pyr = dense_pyramid(region, 2011, axis)
         with pytest.raises(TypeError):
             pyr.counts[(Sex.MALE, 0)] = 5.0
+
+
+_STATE = RegionId("A", RegionLevel.STATE)
+_COUNTS = dict(
+    births=1.0, deaths=1.0, interstate_in=1.0, interstate_out=1.0, immigration=1.0, emigration=1.0
+)
+_RATES = dict(population=1e6, birth_rate=0.02, death_rate=0.01, in_rate=0.0, out_rate=0.0)
+_DEMAND = dict(new_cards_male=1.0, new_cards_female=1.0, returned_cards=0.0)
+
+# (record.field, build(value)) for every number the shared validator guards
+_VALIDATED = (
+    [(f"StateFlows.{n}", lambda v, n=n: StateFlows(_STATE, **{**_COUNTS, n: v})) for n in _COUNTS]
+    + [(f"StateRates.{n}", lambda v, n=n: StateRates(_STATE, **{**_RATES, n: v})) for n in _RATES]
+    + [(f"DemandRow.{n}", lambda v, n=n: DemandRow(2012, **{**_DEMAND, n: v})) for n in _DEMAND]
+    + [
+        ("CoverageConfig.houseless_rural", lambda v: CoverageConfig(houseless_rural=v)),
+        ("CoverageConfig.houseless_urban", lambda v: CoverageConfig(houseless_urban=v)),
+        ("CoverageConfig.unknown_M", lambda v: CoverageConfig(unknown_age_counts={Sex.MALE: v})),
+        ("CoverageConfig.unknown_F", lambda v: CoverageConfig(unknown_age_counts={Sex.FEMALE: v})),
+    ]
+)
+
+
+class TestFiniteNonNegative:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build", [b for _, b in _VALIDATED], ids=[n for n, _ in _VALIDATED])
+    def test_records_reject_non_finite(self, build, value):
+        build(1.0)  # the same record with a finite value is valid
+        with pytest.raises(DomainError, match="must be finite"):
+            build(value)

@@ -9,12 +9,12 @@ from uidforge import (
     InsufficientDataError,
     ParseError,
     RegionId,
+    RegionLevel,
     Sex,
     StateFlows,
 )
 from uidforge.csvio import (
     emit_demand_csv,
-    emit_flows_csv,
     emit_population_csv,
     load_flows_csv,
     load_population_csv,
@@ -126,31 +126,44 @@ class TestLoadFlows:
         with pytest.raises(ConsistencyError, match="close"):
             load_flows_csv(path)
 
-    def test_rate_schema_round_trips_bit_exact(self, tmp_path):
-        flows = [
-            StateFlows.from_rates(RegionId("A"), 1e6, 0.021, 0.0079, 0.001, 0.0012),
-            StateFlows.from_rates(RegionId("B"), 2.5e5, 0.018, 0.009, 0.0, 0.0003),
+    def test_rate_schema_loads_as_counts_bit_exact(self, tmp_path):
+        # in/out totals differ (1000 vs 1275): closure is checked on count files only
+        path = write(
+            tmp_path,
+            "flows.csv",
+            "state,population,b,d,m,e\nA,1e6,0.021,0.0079,0.001,0.0012\n"
+            "B,250000,0.018,0.009,0.0,0.0003\n",
+        )
+        flows = load_flows_csv(path)
+        assert [f.state for f in flows] == [
+            RegionId("A", RegionLevel.STATE), RegionId("B", RegionLevel.STATE)
         ]
-        path = tmp_path / "flows.csv"
-        emit_flows_csv(flows, path)
-        back = load_flows_csv(path)
-        assert [f.state.code for f in back] == ["A", "B"]
-        for orig, loaded in zip(flows, back):
-            for field in ("population", "birth_rate", "death_rate", "in_rate", "out_rate"):
-                assert getattr(loaded, field) == getattr(orig, field)
+        for loaded, (pop, b, d, m, e) in zip(
+            flows, [(1e6, 0.021, 0.0079, 0.001, 0.0012), (250000.0, 0.018, 0.009, 0.0, 0.0003)]
+        ):
+            assert loaded.births == b * pop
+            assert loaded.deaths == d * pop
+            assert loaded.interstate_in == m * pop
+            assert loaded.interstate_out == e * pop
+            assert loaded.immigration == 0.0
+            assert loaded.emigration == 0.0
 
-    def test_count_schema_round_trips(self, tmp_path):
-        from uidforge import RegionLevel
-
-        flows = [
-            StateFlows.from_counts(RegionId("A", RegionLevel.STATE), 10, 5, 3, 7, 1, 0),
-            StateFlows.from_counts(RegionId("B", RegionLevel.STATE), 20, 2, 7, 3, 0, 2),
+    def test_count_schema_loads_exact_values(self, tmp_path):
+        path = write(
+            tmp_path,
+            "flows.csv",
+            "state,births,deaths,in,out,immig,emig\nA,10,5,3,7,1,0\nB,20.5,2,7,3,0,2\n",
+        )
+        assert load_flows_csv(path) == [
+            StateFlows(RegionId("A", RegionLevel.STATE), 10.0, 5.0, 3.0, 7.0, 1.0, 0.0),
+            StateFlows(RegionId("B", RegionLevel.STATE), 20.5, 2.0, 7.0, 3.0, 0.0, 2.0),
         ]
-        path = tmp_path / "flows.csv"
-        emit_flows_csv(flows, path)
-        back = load_flows_csv(path)
-        for orig, loaded in zip(flows, back):
-            assert loaded == orig
+
+    def test_rate_row_whose_counts_overflow_is_data_error(self, tmp_path):
+        path = write(tmp_path, "flows.csv", "state,population,b,d,m,e\nA,1e300,1e10,0,0,0\n")
+        with pytest.raises(DataError, match="StateFlows.births must be finite") as err:
+            load_flows_csv(path)
+        assert err.value.line_no == 2
 
     def test_unknown_header_rejected(self, tmp_path):
         path = write(tmp_path, "flows.csv", "state,x,y\nA,1,2\n")

@@ -11,12 +11,12 @@ from uidforge import (
     DemandSeries,
     DomainError,
     FertilityConfig,
-    FlowKind,
     IssuancePolicy,
     RegionId,
     RegionLevel,
     Sex,
     StateFlows,
+    StateRates,
     SurvivalSchedule,
     age15_transition,
     annual_card_requirement_series,
@@ -37,24 +37,21 @@ def state(code="ST"):
 
 
 def rate_flow(code, population, b, d, m, e):
-    return StateFlows.from_rates(state(code), population, b, d, m, e)
+    return StateRates(state(code), population, b, d, m, e)
 
 
 def count_flow(code, n, d, m, e, g, f):
-    return StateFlows.from_counts(state(code), n, d, m, e, g, f)
+    return StateFlows(state(code), n, d, m, e, g, f)
 
 
 class TestStateFlows:
     def test_rate_record_rejects_count_fields(self):
-        with pytest.raises(DomainError):
-            StateFlows(
-                state(), FlowKind.RATE, population=1.0, birth_rate=0.0, death_rate=0.0,
-                in_rate=0.0, out_rate=0.0, births=5.0,
-            )
+        with pytest.raises(TypeError):
+            StateRates(state(), 1.0, 0.0, 0.0, 0.0, 0.0, births=5.0)
 
     def test_count_record_needs_all_counts(self):
-        with pytest.raises(DomainError, match="needs"):
-            StateFlows(state(), FlowKind.COUNT, births=1.0, deaths=1.0)
+        with pytest.raises(TypeError):
+            StateFlows(state(), births=1.0, deaths=1.0)
 
     def test_negative_values_rejected(self):
         with pytest.raises(DomainError):
@@ -90,13 +87,6 @@ class TestMacroModels:
     def test_demand_without_migration_is_births(self):
         flows = [rate_flow("A", 2e6, 0.017, 0.009, 0.0, 0.0)]
         assert macro_new_card_demand(flows) == pytest.approx(0.017 * 2e6, rel=1e-12)
-
-    def test_count_record_rejected(self):
-        flows = [count_flow("A", 1, 1, 1, 1, 1, 1)]
-        with pytest.raises(DomainError):
-            macro_net_card_change(flows)
-        with pytest.raises(DomainError):
-            macro_new_card_demand(flows)
 
 
 class TestMicroModels:
@@ -135,13 +125,6 @@ class TestMicroModels:
             assert micro_new_card_demand([perturbed]) == demand
         assert demand >= 0
 
-    def test_rate_record_rejected(self):
-        flows = [rate_flow("A", 1e6, 0.01, 0.01, 0.0, 0.0)]
-        with pytest.raises(DomainError):
-            micro_net_card_change(flows)
-        with pytest.raises(DomainError):
-            micro_new_card_demand(flows)
-
 
 class TestMacroMicroAgreement:
     def test_counts_from_rates_bridges_models(self):
@@ -176,10 +159,6 @@ class TestMacroMicroAgreement:
             macro_new = macro_new_card_demand(rates)
             micro_new = micro_new_card_demand(counts)
             assert math.isclose(micro_new, macro_new, rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_counts_from_rates_requires_rate_record(self):
-        with pytest.raises(DomainError):
-            counts_from_rates(count_flow("A", 1, 1, 1, 1, 1, 1))
 
 
 class TestCardLedger:
@@ -397,12 +376,6 @@ class TestCardSimulation:
         )
         # year 1: deaths 84 at 15+ and 4 + 4 at age 14, plus out-flow 13
         assert full.rows[0].returned_cards == pytest.approx(84.0 + 8.0 + 13.0, rel=1e-12)
-
-    def test_mixed_flow_kinds_rejected(self, region):
-        pop, sched, fert, _ = toy_inputs(region)
-        mixed = [count_flow("A", 0, 0, 1, 1, 0, 0), rate_flow("B", 1e3, 0.0, 0.0, 0.0, 0.0)]
-        with pytest.raises(DomainError):
-            annual_card_requirement_series(pop, sched, fert, mixed, 1)
 
     def test_horizon_below_one_rejected(self, region):
         pop, sched, fert, flows = toy_inputs(region)
