@@ -18,12 +18,15 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .bayes import PriorSpec, metropolis_sample, summarize_chain
 from .core import AgeAxis, FertilityConfig
 from .coverage import CoverageConfig, allocate_unknown_age, apply_omission_adjustment
 from .csvio import (
     emit_demand_csv,
     emit_population_csv,
+    emit_posterior_csv,
     emit_projection_csv,
     load_fertility_csv,
     load_flows_csv,
@@ -277,7 +280,10 @@ def _schedule_for(region_code: str, schedules: dict):
 
 
 def _ensure_out_dir(cfg: RunConfig) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     return cfg.out_dir
 
 
@@ -349,15 +355,7 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     chain = metropolis_sample(
         observations, prior, cfg.options["samples"], cfg.seed, cfg.options["proposal_scale"]
     )
-    summary = summarize_chain(chain)
-    out = _ensure_out_dir(cfg)
-    lines = [
-        "mean,variance,ci_low,ci_high,acceptance_rate,n_samples,burn_in,seed",
-        f"{summary.mean!r},{summary.variance!r},{summary.interval[0]!r},"
-        f"{summary.interval[1]!r},{chain.acceptance_rate!r},{chain.samples.size},"
-        f"{chain.burn_in},{chain.seed}",
-    ]
-    (out / "posterior.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    emit_posterior_csv(summarize_chain(chain), chain, _ensure_out_dir(cfg) / "posterior.csv")
     return 0
 
 
@@ -376,7 +374,9 @@ def main(argv=None) -> int:
         config_path = getattr(args, "config", None)
         args._config_values = _load_config_file(config_path) if config_path else {}
         cfg = _run_config(args, args.command)
-        return _COMMANDS[args.command](cfg)
+        # an overflow is reported once, by the writer or check that rejects its result
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](cfg)
     except UidforgeError as exc:
         print(f"uidforge {args.command}: error: {exc}", file=sys.stderr)
         return 1

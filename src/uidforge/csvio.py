@@ -13,6 +13,9 @@ import math
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+
+from .bayes import ChainSummary, DemandObservation, PosteriorChain
 from .core import SEX_ROWS, AgeAxis, AgePyramid, RegionId, RegionLevel, Sex, SurvivalSchedule
 from .errors import DataError, DomainError, InsufficientDataError, ParseError, UidforgeError
 from .ledger import (
@@ -33,35 +36,54 @@ SURVIVAL_HEADER = ["region", "sex", "age", "p"]
 FERTILITY_HEADER = ["age", "rate"]
 OBSERVATIONS_HEADER = ["year", "count", "exposure"]
 UNKNOWN_AGE_HEADER = ["sex", "count"]
+POSTERIOR_HEADER = "mean,variance,ci_low,ci_high,acceptance_rate,n_samples,burn_in,seed".split(",")
 
 _SEX_CODES = {"M": Sex.MALE, "F": Sex.FEMALE}
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
+def _table(path, *headers: list[str]):
+    """Open ``path`` and match its stripped header row against the
+    accepted ``headers``. Return the matching header and a lazy iterator
+    of ``(line_no, stripped fields)`` over the data rows that skips blank
+    lines and rejects a row whose field count differs from the header's.
+    """
+    rows = _header_then_rows(path, headers)
+    return next(rows), rows
+
+
+def _header_then_rows(path, headers):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return [(i + 1, row) for i, row in enumerate(csv.reader(fh))]
-    except OSError as exc:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            if header not in headers:
+                verb = "matches neither" if len(headers) > 1 else "does not match"
+                expected = " nor ".join(",".join(h) for h in headers)
+                raise ParseError(path, 1, f"header {','.join(header)!r} {verb} {expected}")
+            yield header
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        path, line_no, f"expected {len(header)} fields, got {len(row)}"
+                    )
+                yield line_no, [f.strip() for f in row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}") from exc
 
 
-def _check_header(path, rows, expected: list[str]):
-    if not rows:
-        raise ParseError(path, 1, f"empty file; expected header {','.join(expected)}")
-    line_no, header = rows[0]
-    if [h.strip() for h in header] != expected:
-        raise ParseError(
-            path, line_no, f"expected header {','.join(expected)}, got {','.join(header)}"
-        )
-
-
 def _parse_float(path, line_no, field, text) -> float:
+    """``text`` as a finite, non-negative float: every number the input
+    schemas hold is a count, a probability, a rate or an exposure."""
     try:
         value = float(text)
     except ValueError:
         raise ParseError(path, line_no, f"{field} {text!r} is not a number") from None
     if not math.isfinite(value):
         raise DataError(path, line_no, f"{field} {text!r} is not finite")
+    if value < 0:
+        raise DataError(path, line_no, f"negative {field} {value}")
     return value
 
 
@@ -73,10 +95,30 @@ def _parse_int(path, line_no, field, text) -> int:
 
 
 def _parse_sex(path, line_no, text) -> Sex:
-    sex = _SEX_CODES.get(text.strip())
+    sex = _SEX_CODES.get(text)
     if sex is None:
         raise ParseError(path, line_no, f"sex must be M or F, got {text!r}")
     return sex
+
+
+def _region_cells(path, header: list[str], axis: AgeAxis) -> dict:
+    """Read a ``region,sex,age,<value>`` file into region -> {(sex, age):
+    value}, rejecting at its line an empty region, a bad sex, an age off
+    ``axis``, a negative or non-finite value and a duplicate key."""
+    _, rows = _table(path, header)
+    per_region: dict[str, dict] = {}
+    for line_no, (region, sex_txt, age_txt, value_txt) in rows:
+        if not region:
+            raise ParseError(path, line_no, "region code is empty")
+        sex = _parse_sex(path, line_no, sex_txt)
+        age = _parse_int(path, line_no, "age", age_txt)
+        if not axis.contains(age):
+            raise ParseError(path, line_no, f"age {age} outside axis 0..{axis.max_age}")
+        cells = per_region.setdefault(region, {})
+        if (sex, age) in cells:
+            raise DataError(path, line_no, f"duplicate key ({region}, {sex.value}, {age})")
+        cells[(sex, age)] = _parse_float(path, line_no, header[-1], value_txt)
+    return per_region
 
 
 def load_population_csv(
@@ -89,40 +131,27 @@ def load_population_csv(
     error. Absent cells are simply absent; densify before projecting.
     """
     axis = axis or AgeAxis()
-    rows = _read_rows(path)
-    _check_header(path, rows, POPULATION_HEADER)
-    per_region: dict[str, dict] = {}
-    for line_no, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != len(POPULATION_HEADER):
-            raise ParseError(path, line_no, f"expected 4 fields, got {len(row)}")
-        region, sex_txt, age_txt, count_txt = (f.strip() for f in row)
-        if not region:
-            raise ParseError(path, line_no, "region code is empty")
-        sex = _parse_sex(path, line_no, sex_txt)
-        age = _parse_int(path, line_no, "age", age_txt)
-        if age < 0 or age > axis.max_age:
-            raise ParseError(path, line_no, f"age {age} outside axis 0..{axis.max_age}")
-        count = _parse_float(path, line_no, "count", count_txt)
-        if count < 0:
-            raise DataError(path, line_no, f"negative count {count}")
-        cells = per_region.setdefault(region, {})
-        if (sex, age) in cells:
-            raise DataError(path, line_no, f"duplicate key ({region}, {sex.value}, {age})")
-        cells[(sex, age)] = count
     return {
         code: AgePyramid(RegionId(code), time_label, axis, cells)
-        for code, cells in per_region.items()
+        for code, cells in _region_cells(path, POPULATION_HEADER, axis).items()
     }
+
+
+def load_survival_csv(path, axis: AgeAxis | None = None) -> dict:
+    """Load ``region,sex,age,p`` rows into one SurvivalSchedule per
+    region; every age must be present for both sexes."""
+    axis = axis or AgeAxis()
+    out = {}
+    for code, cells in _region_cells(path, SURVIVAL_HEADER, axis).items():
+        try:
+            out[code] = SurvivalSchedule(RegionId(code), axis, cells)
+        except DomainError as exc:
+            raise DataError(path, 0, f"region {code}: {exc}") from exc
+    return out
 
 
 def _rate_row(state: RegionId, *rates: float) -> StateFlows:
     return counts_from_rates(StateRates(state, *rates))
-
-
-#: Flows header -> the constructor of one row's StateFlows.
-_FLOW_RECORDS = {tuple(FLOWS_RATE_HEADER): _rate_row, tuple(FLOWS_COUNT_HEADER): StateFlows}
 
 
 def load_flows_csv(path) -> list[StateFlows]:
@@ -130,35 +159,15 @@ def load_flows_csv(path) -> list[StateFlows]:
     the file is rate-based or count-based. A rate row becomes the counts
     it implies (:func:`counts_from_rates`). Count-based loads must
     satisfy interstate closure (total in == total out)."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError(path, 1, "empty file; expected a flows header")
-    header = [h.strip() for h in rows[0][1]]
-    record = _FLOW_RECORDS.get(tuple(header))
-    if record is None:
-        raise ParseError(
-            path,
-            rows[0][0],
-            "header matches neither the rate schema "
-            f"({','.join(FLOWS_RATE_HEADER)}) nor the count schema "
-            f"({','.join(FLOWS_COUNT_HEADER)})",
-        )
+    header, rows = _table(path, FLOWS_RATE_HEADER, FLOWS_COUNT_HEADER)
+    record = StateFlows if header == FLOWS_COUNT_HEADER else _rate_row
     out = []
     seen = set()
-    for line_no, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
-        state = row[0].strip()
-        if not state:
-            raise ParseError(path, line_no, "state code is empty")
+    for line_no, (state, *fields) in rows:
         if state in seen:
             raise DataError(path, line_no, f"duplicate state {state!r}")
         seen.add(state)
-        values = [
-            _parse_float(path, line_no, name, txt) for name, txt in zip(header[1:], row[1:])
-        ]
+        values = [_parse_float(path, line_no, name, txt) for name, txt in zip(header[1:], fields)]
         try:
             out.append(record(RegionId(state, RegionLevel.STATE), *values))
         except DomainError as exc:
@@ -168,121 +177,26 @@ def load_flows_csv(path) -> list[StateFlows]:
     return out
 
 
-def format_count(x: float) -> str:
-    return repr(float(x))
-
-
-def emit_population_csv(pyramids: Mapping, path):
-    """Write pyramids back to the ``region,sex,age,count`` schema with
-    round-trip-exact counts, rows sorted by (region, sex, age)."""
-    lines = [",".join(POPULATION_HEADER)]
-    for code in sorted(pyramids):
-        pyramid = pyramids[code]
-        for (sex, age) in sorted(pyramid.counts, key=lambda k: (k[0].value, k[1])):
-            lines.append(f"{code},{sex.value},{age},{format_count(pyramid.counts[(sex, age)])}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def emit_projection_csv(series: Iterable[tuple[str, ProjectionSeries]], path):
-    """Write ``year,region,sex,age,count`` rows, one region at a time, in
-    the order given and within a region by (year, sex F then M, age).
-
-    ``series`` may be a generator, so only one region's frames need to
-    exist at once. A file left incomplete by an error is removed.
-    """
-    try:
-        fh = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot write file: {exc}") from exc
-    try:
-        with fh:
-            fh.write(",".join(PROJECTION_HEADER) + "\n")
-            for code, projection in series:
-                ages = projection.axis.ages()
-                cells = [f"{sex.value},{age}," for sex in SEX_ROWS for age in ages]
-                frames = projection.counts.reshape(len(projection.counts), -1).tolist()
-                for k, values in enumerate(frames):
-                    prefix = f"{projection.start + k},{code},"
-                    fh.write("".join([f"{prefix}{cell}{v!r}\n" for cell, v in zip(cells, values)]))
-    except (OSError, UidforgeError) as exc:
-        Path(path).unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise ParseError(path, 0, f"cannot write file: {exc}") from exc
-        raise
-
-
-def emit_demand_csv(series: DemandSeries, path):
-    """Write the demand series with counts rounded half to even."""
-    lines = [",".join(DEMAND_HEADER)]
-    for row in series.rows:
-        lines.append(
-            f"{row.year},{round(row.new_cards_male)},"
-            f"{round(row.new_cards_female)},{round(row.returned_cards)}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def load_survival_csv(path, axis: AgeAxis | None = None) -> dict:
-    """Load ``region,sex,age,p`` rows into one SurvivalSchedule per
-    region; every age must be present for both sexes."""
-    axis = axis or AgeAxis()
-    rows = _read_rows(path)
-    _check_header(path, rows, SURVIVAL_HEADER)
-    per_region: dict[str, dict] = {}
-    for line_no, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != len(SURVIVAL_HEADER):
-            raise ParseError(path, line_no, f"expected 4 fields, got {len(row)}")
-        region, sex_txt, age_txt, p_txt = (f.strip() for f in row)
-        sex = _parse_sex(path, line_no, sex_txt)
-        age = _parse_int(path, line_no, "age", age_txt)
-        p = _parse_float(path, line_no, "p", p_txt)
-        cells = per_region.setdefault(region, {})
-        if (sex, age) in cells:
-            raise DataError(path, line_no, f"duplicate key ({region}, {sex.value}, {age})")
-        cells[(sex, age)] = p
-    out = {}
-    for code, cells in per_region.items():
-        try:
-            out[code] = SurvivalSchedule(RegionId(code), axis, cells)
-        except DomainError as exc:
-            raise DataError(path, 0, f"region {code}: {exc}") from exc
-    return out
-
-
 def load_fertility_csv(path) -> dict:
     """Load ``age,rate`` rows into an age -> rate mapping."""
-    rows = _read_rows(path)
-    _check_header(path, rows, FERTILITY_HEADER)
+    _, rows = _table(path, FERTILITY_HEADER)
     rates: dict[int, float] = {}
-    for line_no, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(path, line_no, f"expected 2 fields, got {len(row)}")
-        age = _parse_int(path, line_no, "age", row[0].strip())
+    for line_no, (age_txt, rate_txt) in rows:
+        age = _parse_int(path, line_no, "age", age_txt)
         if age in rates:
             raise DataError(path, line_no, f"duplicate age {age}")
-        rates[age] = _parse_float(path, line_no, "rate", row[1].strip())
+        rates[age] = _parse_float(path, line_no, "rate", rate_txt)
     return rates
 
 
 def load_observations_csv(path) -> list:
     """Load ``year,count,exposure`` demand observations."""
-    from .bayes import DemandObservation
-
-    rows = _read_rows(path)
-    _check_header(path, rows, OBSERVATIONS_HEADER)
+    _, rows = _table(path, OBSERVATIONS_HEADER)
     out = []
-    for line_no, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(path, line_no, f"expected 3 fields, got {len(row)}")
-        year = _parse_int(path, line_no, "year", row[0].strip())
-        count = _parse_int(path, line_no, "count", row[1].strip())
-        exposure = _parse_float(path, line_no, "exposure", row[2].strip())
+    for line_no, (year_txt, count_txt, exposure_txt) in rows:
+        year = _parse_int(path, line_no, "year", year_txt)
+        count = _parse_int(path, line_no, "count", count_txt)
+        exposure = _parse_float(path, line_no, "exposure", exposure_txt)
         try:
             out.append(DemandObservation(year, count, exposure))
         except DomainError as exc:
@@ -292,30 +206,92 @@ def load_observations_csv(path) -> list:
 
 def load_unknown_age_csv(path) -> dict:
     """Load ``sex,count`` unknown-age totals."""
-    rows = _read_rows(path)
-    _check_header(path, rows, UNKNOWN_AGE_HEADER)
+    _, rows = _table(path, UNKNOWN_AGE_HEADER)
     out: dict[Sex, float] = {}
-    for line_no, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(path, line_no, f"expected 2 fields, got {len(row)}")
-        sex = _parse_sex(path, line_no, row[0].strip())
+    for line_no, (sex_txt, count_txt) in rows:
+        sex = _parse_sex(path, line_no, sex_txt)
         if sex in out:
             raise DataError(path, line_no, f"duplicate sex {sex.value}")
-        count = _parse_float(path, line_no, "count", row[1].strip())
-        if count < 0:
-            raise DataError(path, line_no, f"negative count {count}")
-        out[sex] = count
+        out[sex] = _parse_float(path, line_no, "count", count_txt)
     return out
 
 
-def _write_text(path, text: str):
+def write_file(path, chunks: Iterable[str]):
+    """Write the text ``chunks`` to ``path`` in order. ``chunks`` may be
+    a generator; a file left incomplete by an error is removed."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        fh = open(path, "w", encoding="utf-8", newline="")
+        try:
+            with fh:
+                fh.writelines(chunks)
+        except (OSError, UidforgeError):
+            Path(path).unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise ParseError(path, 0, f"cannot write file: {exc}") from exc
+
+
+def format_count(x: float) -> str:
+    return repr(float(x))
+
+
+def emit_population_csv(pyramids: Mapping, path):
+    """Write pyramids back to the ``region,sex,age,count`` schema with
+    round-trip-exact counts, rows sorted by (region, sex, age). A region
+    with a non-finite count is a DomainError."""
+    lines = [",".join(POPULATION_HEADER) + "\n"]
+    for code in sorted(pyramids):
+        counts = pyramids[code].counts
+        if not all(map(math.isfinite, counts.values())):
+            raise DomainError(f"region {code}: a count is not finite")
+        for (sex, age) in sorted(counts, key=lambda k: (k[0].value, k[1])):
+            lines.append(f"{code},{sex.value},{age},{format_count(counts[(sex, age)])}\n")
+    write_file(path, lines)
+
+
+def emit_projection_csv(series: Iterable[tuple[str, ProjectionSeries]], path):
+    """Write ``year,region,sex,age,count`` rows, one region at a time, in
+    the order given and within a region by (year, sex F then M, age).
+
+    ``series`` may be a generator, so only one region's frames need to
+    exist at once. A region whose projection is not finite is a
+    DomainError naming its first such year, and leaves no file.
+    """
+
+    def chunks():
+        yield ",".join(PROJECTION_HEADER) + "\n"
+        for code, projection in series:
+            frames = projection.counts.reshape(len(projection.counts), -1)
+            bad = ~np.isfinite(frames).all(axis=1)
+            if bad.any():
+                year = projection.start + int(bad.argmax())
+                raise DomainError(f"projection of region {code} is not finite in year {year}")
+            cells = [f"{sex.value},{age}," for sex in SEX_ROWS for age in projection.axis.ages()]
+            for k, values in enumerate(frames.tolist()):
+                prefix = f"{projection.start + k},{code},"
+                yield "".join([f"{prefix}{cell}{v!r}\n" for cell, v in zip(cells, values)])
+
+    write_file(path, chunks())
+
+
+def emit_demand_csv(series: DemandSeries, path):
+    """Write the demand series with counts rounded half to even."""
+    lines = [",".join(DEMAND_HEADER) + "\n"]
+    for row in series.rows:
+        lines.append(
+            f"{row.year},{round(row.new_cards_male)},"
+            f"{round(row.new_cards_female)},{round(row.returned_cards)}\n"
+        )
+    write_file(path, lines)
+
+
+def emit_posterior_csv(summary: ChainSummary, chain: PosteriorChain, path):
+    """Write the one-row summary of ``chain`` with shortest round-trip floats."""
+    floats = (summary.mean, summary.variance, *summary.interval, chain.acceptance_rate)
+    if not all(map(math.isfinite, floats)):
+        raise DomainError(f"posterior summary is not finite: {floats}")
+    row = [*map(repr, floats), str(chain.samples.size), str(chain.burn_in), str(chain.seed)]
+    write_file(path, [",".join(POSTERIOR_HEADER) + "\n", ",".join(row) + "\n"])
 
 
 # ---------------------------------------------------------------- chart
@@ -389,4 +365,4 @@ def render_series_chart(series: DemandSeries, path):
         'font-size="12" fill="#d62728">female</text>',
         "</svg>",
     ]
-    _write_text(path, "\n".join(parts) + "\n")
+    write_file(path, ["\n".join(parts) + "\n"])

@@ -230,6 +230,8 @@ def counts_from_rates(flow: StateRates) -> StateFlows:
 
 
 def _round_half_even(x: float) -> int:
+    if not math.isfinite(x):
+        raise DomainError(f"card count {x!r} is not finite")
     return int(round(x))
 
 

@@ -1,6 +1,15 @@
+import contextlib
+import csv
+import io
+import math
+import re
+import tempfile
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uidforge import DomainError, RegionId, RegionLevel, StateRates, counts_from_rates
 from uidforge.cli import RunConfig, main
@@ -60,6 +69,17 @@ def write_observations(path):
         "year,count,exposure\n2012,4,1.0\n2013,6,1.0\n", encoding="utf-8"
     )
     return path
+
+
+def assert_one_line_error(capsys, command):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"uidforge {command}: error: ")
+    return err
+
+
+#: Counts whose sums overflow a float.
+HUGE = {20: 1.7e308, 21: 1.7e308, 22: 1.7e308}
 
 
 @pytest.fixture
@@ -175,6 +195,26 @@ class TestProjectCommand:
         assert "reproductive ages" in capsys.readouterr().err
         assert not (inputs["out"] / "projection.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_projection_leaves_no_file(self, inputs, tmp_path, capsys):
+        code = main(
+            [
+                "project",
+                "--population", str(inputs["population"]),
+                "--survival", str(inputs["survival"]),
+                "--fertility", str(write_fertility(tmp_path / "huge.csv", rate=1e300)),
+                "--horizon", "40",
+                "--sex-ratio", "1.05",
+                "--max-age", "60",
+                "--base-year", "2011",
+                "--out", str(inputs["out"]),
+            ]
+        )
+        assert code == 1
+        err = assert_one_line_error(capsys, "project")
+        assert "region IN" in err and "not finite in year" in err
+        assert not (inputs["out"] / "projection.csv").exists()
+
     def test_missing_required_flag_fails(self, inputs, capsys):
         code = main(
             [
@@ -254,6 +294,24 @@ class TestDemandCommand:
         assert main(args) == 1
         assert "single-region" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("policy", ["at-birth", "at-age-one", "full"])
+    def test_overflowing_counts_fail_in_one_line(self, inputs, tmp_path, capsys, policy):
+        inputs["population"] = write_population(tmp_path / "huge.csv", female=HUGE, male=HUGE)
+        assert main(self.demand_args(inputs, "--policy", policy)) == 1
+        assert "not finite" in assert_one_line_error(capsys, "demand")
+        assert not (inputs["out"] / "demand.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_projection_fails_in_one_line(self, inputs, tmp_path, capsys):
+        # unit survival turns the infinite newborn counts into inf * 0 deaths
+        inputs["population"] = write_population(tmp_path / "huge.csv", female={20: 1e300})
+        inputs["survival"] = write_survival(tmp_path / "unit.csv", p=1.0)
+        inputs["fertility"] = write_fertility(tmp_path / "fert.csv", rate=1e10)
+        assert main(self.demand_args(inputs)) == 1
+        assert "finite" in assert_one_line_error(capsys, "demand")
+        assert not (inputs["out"] / "demand.csv").exists()
+
     @pytest.mark.parametrize("policy", ["at-birth", "at-age-one", "full"])
     def test_rate_and_implied_count_schemas_write_the_same_demand(
         self, inputs, tmp_path, policy
@@ -322,6 +380,22 @@ class TestCoverageCommand:
         assert back["IN"].total(Sex.FEMALE) == pytest.approx(1700 + 170, rel=1e-12)
         assert back["IN"].total(Sex.MALE) == 800.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_adjustment_leaves_no_file(self, inputs, tmp_path, capsys):
+        population = write_population(tmp_path / "huge.csv", female=HUGE)
+        code = main(
+            [
+                "coverage",
+                "--population", str(population),
+                "--omission", "500",
+                "--max-age", "60",
+                "--out", str(inputs["out"]),
+            ]
+        )
+        assert code == 1
+        err = assert_one_line_error(capsys, "coverage")
+        assert "region IN" in err and "not finite" in err
+        assert not (inputs["out"] / "adjusted_population.csv").exists()
 
     def test_non_finite_count_fails_cleanly(self, inputs, tmp_path, capsys):
         population = write_population(tmp_path / "nan.csv", female={20: "nan"})
@@ -399,6 +473,24 @@ class TestEstimateCommand:
         assert err.startswith("uidforge estimate: error: ")
         assert not (out / "posterior.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_posterior_leaves_no_file(self, tmp_path, capsys):
+        # posterior Gamma(91, 3e-300): the mean is 3e301 and the variance overflows
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("year,count,exposure\n2012,50,1e-300\n2013,40,1e-300\n", "utf-8")
+        out = tmp_path / "out"
+        extra = ("--observations", str(tiny), "--prior-rate", "1e-300")
+        assert main(self.estimate_args(tmp_path, out, *extra)) == 1
+        assert "not finite" in assert_one_line_error(capsys, "estimate")
+        assert not (out / "posterior.csv").exists()
+
+    def test_output_directory_under_a_file_fails_in_one_line(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        assert main(self.estimate_args(tmp_path, afile / "sub")) == 1
+        err = assert_one_line_error(capsys, "estimate")
+        assert "cannot create output directory" in err and str(afile / "sub") in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, inputs, tmp_path):
@@ -432,3 +524,144 @@ class TestConfigFile:
             for line in (out2 / "projection.csv").read_text().splitlines()[1:]
         }
         assert years2 == {"2011", "2012"}
+
+
+# ---------------------------------------------------------------- fuzz
+
+#: column kind -> (strategy of valid cells, strategy of invalid cells)
+_CELLS = {
+    "code": (st.sampled_from(["IN"] * 5 + ["Infanta"]), st.just("")),
+    "sex": (st.sampled_from(["F", "M"]), st.sampled_from(["X", ""])),
+    "age": (st.integers(0, 60).map(str), st.sampled_from(["-1", "61", "500", "", "2.5"])),
+    "year": (st.integers(2000, 2030).map(str), st.sampled_from(["", "x"])),
+    "int": (st.integers(0, 50).map(str), st.sampled_from(["-2", "1e308", "nan", ""])),
+    "number": (
+        st.one_of(st.sampled_from(["1e308", "1.7e308", "0", "20"]), st.floats(0, 1e4).map(repr)),
+        st.one_of(
+            st.sampled_from(["nan", "inf", "-inf", "-1", "", "x"]),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        ),
+    ),
+}
+_PER_1000 = st.one_of(st.sampled_from([0.0, 500.0, 999.0]), st.floats(0, 1000, exclude_max=True))
+_CELL = ("code", "sex", "age", "number")
+#: input name -> (text of the valid base file, column kinds of one row);
+#: the population is sparse so that appended cells need not collide
+_FUZZ_INPUTS = {
+    "population": (
+        "region,sex,age,count\nIN,F,14,200\nIN,F,20,1000\nIN,F,30,500\nIN,M,20,800\n",
+        _CELL,
+    ),
+    "survival": (
+        "region,sex,age,p\n"
+        + "".join(f"IN,{sex},{age},{0.98 * (age < 60)}\n" for sex in "MF" for age in range(61)),
+        _CELL,
+    ),
+    "fertility": ("age,rate\n" + "".join(f"{a},0.08\n" for a in range(20, 31)), ("age", "number")),
+    "flows": (
+        "state,births,deaths,in,out,immig,emig\nST,0,0,10,10,5,3\n",
+        ("code",) + ("number",) * 6,
+    ),
+    "rate-flows": (
+        "state,population,b,d,m,e\nST,1000,0.02,0.008,0.01,0.01\n",
+        ("code",) + ("number",) * 5,
+    ),
+    "unknown-age": ("sex,count\nF,170\n", ("sex", "number")),
+    "observations": ("year,count,exposure\n2012,4,1.0\n2013,6,1.0\n", ("year", "int", "number")),
+}
+_FUZZ_OUTPUTS = {
+    "project": ("projection.csv",),
+    "demand": ("demand.csv", "demand.svg"),
+    "coverage": ("adjusted_population.csv",),
+    "estimate": ("posterior.csv",),
+}
+
+
+@st.composite
+def _fuzz_rows(draw, kinds):
+    """1..4 rows of valid cells; in about half the draws one row has one
+    invalid cell, or a field too few or too many."""
+    valid_row = st.tuples(*(_CELLS[kind][0] for kind in kinds)).map(list)
+    rows = draw(st.lists(valid_row, min_size=1, max_size=4))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    fault = draw(st.sampled_from([None, None, None, "cell", "cell", "short", "long"]))
+    if fault == "cell":
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = draw(_CELLS[kinds[k]][1])
+    elif fault == "short":
+        row.pop()
+    elif fault == "long":
+        row.append("1")
+    return [",".join(row) for row in rows]
+
+
+@st.composite
+def _fuzz_runs(draw):
+    """(command, input name -> file text, extra flags) with 1..4 random
+    rows appended to one input file."""
+    command = draw(st.sampled_from(sorted(_FUZZ_OUTPUTS)))
+    flows = draw(st.sampled_from(["flows", "rate-flows"]))
+    names = {
+        "project": ["population", "survival", "fertility"],
+        "demand": ["population", "survival", "fertility", flows],
+        "coverage": ["population"] + ["unknown-age"] * draw(st.booleans()),
+        "estimate": ["observations"],
+    }[command]
+    texts = {name: _FUZZ_INPUTS[name][0] for name in names}
+    target = draw(st.sampled_from(names))
+    rows = draw(_fuzz_rows(_FUZZ_INPUTS[target][1]))
+    if command == "estimate":
+        extra = ["--prior-shape", "1", "--prior-rate", "1", "--samples", "2000"]
+    elif command == "coverage":
+        extra = ["--omission", repr(draw(_PER_1000))]
+    else:
+        imr = repr(draw(_PER_1000))
+        extra = ["--horizon", "4", "--sex-ratio", "1.05", "--infant-mortality", imr]
+        if command == "demand":
+            extra += ["--policy", draw(st.sampled_from(["at-birth", "at-age-one", "full"]))]
+    return command, texts, target, rows, extra
+
+
+def _non_finite_fields(path: Path) -> list:
+    """Fields of a CSV file, or numbers of an SVG file, that parse as a
+    non-finite float."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".svg":
+        return re.findall(r"(?<![a-z])(?:nan|inf)(?![a-z])", text)
+    bad = []
+    for row in csv.reader(io.StringIO(text)):
+        for cell in row:
+            with contextlib.suppress(ValueError):
+                if not math.isfinite(float(cell)):
+                    bad.append(cell)
+    return bad
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_fuzz_runs())
+def test_cli_fuzz_exits_cleanly(run):
+    """Random rows appended to valid inputs end in exit 0 with finite
+    outputs, or in exit 1 with one stderr line and no output file."""
+    command, texts, target, rows, extra = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        argv = [command, "--max-age", "60", "--out", str(out), *extra]
+        for name, text in texts.items():
+            path = tmp / f"{name}.csv"
+            path.write_text(text + "".join(f"{row}\n" for row in rows if name == target), "utf-8")
+            argv += [f"--{name.removeprefix('rate-')}", str(path)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        written = [out / name for name in _FUZZ_OUTPUTS[command] if (out / name).exists()]
+        if code == 1:
+            err = stderr.getvalue()
+            assert err.count("\n") == 1 and err.startswith(f"uidforge {command}: error: "), err
+            assert written == []
+        else:
+            assert code == 0
+            assert written
+            for path in written:
+                assert _non_finite_fields(path) == [], path.name

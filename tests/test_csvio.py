@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from uidforge import (
@@ -16,9 +18,12 @@ from uidforge import (
 from uidforge.csvio import (
     emit_demand_csv,
     emit_population_csv,
+    load_fertility_csv,
     load_flows_csv,
+    load_observations_csv,
     load_population_csv,
     load_survival_csv,
+    load_unknown_age_csv,
     render_series_chart,
 )
 from conftest import dense_pyramid
@@ -28,6 +33,51 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+#: (loader, header, valid data rows) for every loader of the package
+READER_CASES = {
+    "population": (load_population_csv, "region,sex,age,count", ["IN,F,20,1000", "IN,M,20,800"]),
+    "survival": (
+        partial(load_survival_csv, axis=AgeAxis(1)),
+        "region,sex,age,p",
+        ["IN,M,0,0.9", "IN,M,1,0", "IN,F,0,0.95", "IN,F,1,0"],
+    ),
+    "fertility": (load_fertility_csv, "age,rate", ["20,0.1", "21,0.09"]),
+    "flows-rates": (load_flows_csv, "state,population,b,d,m,e", ["A,1e6,0.02,0.008,0,0"]),
+    "flows-counts": (
+        load_flows_csv,
+        "state,births,deaths,in,out,immig,emig",
+        ["A,10,5,3,7,1,0", "B,20,2,7,3,0,2"],
+    ),
+    "observations": (load_observations_csv, "year,count,exposure", ["2012,4,1.0", "2013,6,1.5"]),
+    "unknown-age": (load_unknown_age_csv, "sex,count", ["F,170", "M,30"]),
+}
+
+
+@pytest.mark.parametrize("load, header, rows", READER_CASES.values(), ids=READER_CASES)
+class TestReader:
+    def test_blank_lines_skipped_and_spaced_header_accepted(self, tmp_path, load, header, rows):
+        plain = write(tmp_path, "plain.csv", "\n".join([header, *rows]) + "\n")
+        spaced_header = " , ".join(f" {name}" for name in header.split(","))
+        spaced = write(tmp_path, "spaced.csv", "\n\n".join([spaced_header, *rows]) + "\n\n")
+        assert load(spaced) == load(plain)
+
+    def test_short_row_raises_with_its_line(self, tmp_path, load, header, rows):
+        # header, the rows, a blank line, then the short row
+        short = rows[0].rsplit(",", 1)[0]
+        path = write(tmp_path, "short.csv", "\n".join([header, *rows, "", short]) + "\n")
+        with pytest.raises(ParseError, match="fields") as err:
+            load(path)
+        assert err.value.line_no == len(rows) + 3
+
+    def test_negative_number_raises_with_its_line(self, tmp_path, load, header, rows):
+        # the last field of every schema is a count, a probability, a rate or an exposure
+        negative = rows[0].rsplit(",", 1)[0] + ",-1"
+        path = write(tmp_path, "values.csv", "\n".join([header, negative]) + "\n")
+        with pytest.raises(DataError, match=r":2: negative ") as err:
+            load(path)
+        assert err.value.line_no == 2
 
 
 class TestLoadPopulation:
@@ -85,6 +135,12 @@ class TestLoadPopulation:
         path = write(tmp_path, "pop.csv", "region,sex,age,count\nIN,F,120,1\n")
         with pytest.raises(ParseError, match="age 120"):
             load_population_csv(path, AgeAxis(100))
+
+    def test_undecodable_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_bytes(b"region,sex,age,count\nIN,F,20,1\nR\xe9gion,F,21,1\n")
+        with pytest.raises(ParseError, match="cannot read file"):
+            load_population_csv(path)
 
     def test_bad_sex_and_bad_number_carry_line_numbers(self, tmp_path):
         path = write(tmp_path, "pop.csv", "region,sex,age,count\nIN,X,20,1\n")
@@ -253,3 +309,20 @@ class TestLoadSurvival:
         path = write(tmp_path, "surv.csv", "region,sex,age,p\nIN,M,0,0.9\n")
         with pytest.raises(DataError, match="missing"):
             load_survival_csv(path, AgeAxis(3))
+
+    @pytest.mark.parametrize(
+        "row, error, words",
+        [
+            (",M,0,0.9", ParseError, "region code is empty"),
+            ("IN,M,0,-0.1", DataError, "negative p"),
+            ("IN,M,4,0.9", ParseError, "age 4 outside axis 0..3"),
+        ],
+        ids=["empty-region", "negative-p", "age-beyond-axis"],
+    )
+    def test_bad_cell_raises_at_its_line(self, tmp_path, row, error, words):
+        lines = ["region,sex,age,p", row]
+        lines += [f"IN,{sex},{age},{0.0 if age == 3 else 0.9}" for sex in "MF" for age in range(4)]
+        path = write(tmp_path, "surv.csv", "\n".join(lines) + "\n")
+        with pytest.raises(error, match=words) as err:
+            load_survival_csv(path, AgeAxis(3))
+        assert err.value.line_no == 2
