@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import DomainError, InitializationError, InsufficientDataError
 
+#: Samples per block of the Metropolis loop: each block of pre-drawn
+#: steps is turned into Python floats at once.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class DemandObservation:
@@ -159,16 +163,28 @@ def metropolis_sample(
     steps = rng.standard_normal(n_samples) * proposal_scale
     log_unifs = np.log(rng.random(n_samples))
 
+    # the walk runs on Python floats, converted one block at a time so
+    # that no list as long as the chain is ever held
     samples = np.empty(n_samples)
     accepted = 0
-    for i in range(n_samples):
-        proposal = theta + steps[i]
-        cand = log_target(proposal)
-        if log_unifs[i] < cand - current:
-            theta = proposal
-            current = cand
-            accepted += 1
-        samples[i] = theta
+    exp = math.exp
+    for lo in range(0, n_samples, _BLOCK):
+        block = []
+        for step, log_unif in zip(
+            steps[lo : lo + _BLOCK].tolist(), log_unifs[lo : lo + _BLOCK].tolist()
+        ):
+            proposal = theta + step
+            # log_target, inlined: a call would cost more than the step
+            if proposal > 700.0:
+                cand = -math.inf
+            else:
+                cand = shape_eff * proposal - rate_eff * exp(proposal)
+            if log_unif < cand - current:
+                theta = proposal
+                current = cand
+                accepted += 1
+            block.append(theta)
+        samples[lo : lo + len(block)] = block
     np.exp(samples, out=samples)
 
     return PosteriorChain(

@@ -196,7 +196,15 @@ class AgePyramid:
             raise DomainError(
                 f"pyramid array must have shape (2, {axis.n_ages}), got {array.shape}"
             )
-        cells = np.array(array, dtype=float)
+        return cls._over(region, time_label, axis, np.array(array, dtype=float))
+
+    @classmethod
+    def _over(
+        cls, region: RegionId, time_label: int, axis: AgeAxis, cells: np.ndarray
+    ) -> "AgePyramid":
+        """:meth:`from_array` without the copy, for a float64 ``(2, n_ages)``
+        array that the caller owns and no longer writes; it is made
+        read-only."""
         cells.flags.writeable = False
         pyramid = cls(region, time_label, axis, _ArrayCells(cells))
         # fill the cached properties now; the projection loop reads both
@@ -325,6 +333,11 @@ class FertilityConfig:
         out = np.array([self.rate(x) for x in band])
         out.flags.writeable = False
         return out
+
+    @property
+    def infant_survival(self) -> float:
+        """Share of live births that complete their first year."""
+        return 1.0 - self.infant_mortality / 1000.0
 
     @property
     def male_share(self) -> float:

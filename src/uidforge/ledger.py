@@ -26,12 +26,7 @@ from .core import (
     require_finite_nonnegative,
 )
 from .errors import ConsistencyError, DomainError
-from .projection import (
-    BirthCount,
-    apply_infant_survival,
-    death_counts,
-    project_population,
-)
+from .projection import death_counts, project_population
 
 # The projection's pyramid-level functions stay importable from this
 # module too: perfbench's traced runs wrap them here (spans.WRAP_POINTS).
@@ -104,7 +99,7 @@ class CardLedger:
 
     ``active_cards`` is decremented as returns are processed during the
     year; ``issued_this_year`` accumulates separately and is folded into
-    the inventory by :func:`finish_year`. ``child_links`` counts persons
+    the inventory at the end of the year. ``child_links`` counts persons
     under 15 linked to a parent or guardian number.
     """
 
@@ -235,17 +230,15 @@ def _round_half_even(x: float) -> int:
     return int(round(x))
 
 
-def _issue_age15_cards(new_cards: float, ledger: CardLedger) -> CardLedger:
+def _age15_cards(new_cards: float, child_links: int) -> int:
+    """This year's age-15 cards, rounded half to even; each one uses up
+    a child link."""
     rounded = _round_half_even(new_cards)
-    if ledger.child_links - rounded < 0:
+    if child_links - rounded < 0:
         raise ConsistencyError(
-            f"age-15 transition needs {rounded} child links, ledger has {ledger.child_links}"
+            f"age-15 transition needs {rounded} child links, ledger has {child_links}"
         )
-    return replace(
-        ledger,
-        child_links=ledger.child_links - rounded,
-        issued_this_year=ledger.issued_this_year + rounded,
-    )
+    return rounded
 
 
 def age15_transition(
@@ -261,28 +254,30 @@ def age15_transition(
     new_cards = sum(
         pop.count(sex, CARD_AGE - 1) * survival.prob(sex, CARD_AGE - 1) for sex in Sex
     )
-    return new_cards, _issue_age15_cards(new_cards, ledger)
+    rounded = _age15_cards(new_cards, ledger.child_links)
+    return new_cards, replace(
+        ledger,
+        child_links=ledger.child_links - rounded,
+        issued_this_year=ledger.issued_this_year + rounded,
+    )
 
 
-def _return_cards(returned: float, released: float, ledger: CardLedger) -> CardLedger:
-    """Take ``returned`` physical cards out of the inventory and release
-    ``released`` child links (both rounded half to even)."""
+def _card_returns(
+    returned: float, released: float, active_cards: int, child_links: int
+) -> tuple[int, int]:
+    """The physical cards ``returned`` and the child links ``released``,
+    both rounded half to even; the ledger must hold them."""
     returns = _round_half_even(returned)
     child_returns = _round_half_even(released)
-    if ledger.active_cards - returns < 0:
+    if active_cards - returns < 0:
         raise ConsistencyError(
-            f"cannot return {returns} cards from an inventory of {ledger.active_cards}"
+            f"cannot return {returns} cards from an inventory of {active_cards}"
         )
-    if ledger.child_links - child_returns < 0:
+    if child_links - child_returns < 0:
         raise ConsistencyError(
-            f"cannot release {child_returns} child links, ledger has {ledger.child_links}"
+            f"cannot release {child_returns} child links, ledger has {child_links}"
         )
-    return replace(
-        ledger,
-        active_cards=ledger.active_cards - returns,
-        returned_this_year=ledger.returned_this_year + returns,
-        child_links=ledger.child_links - child_returns,
-    )
+    return returns, child_returns
 
 
 def process_card_returns(
@@ -310,25 +305,15 @@ def process_card_returns(
             adult += n
         else:
             child += n
-    return _return_cards(adult + emigrants, child, ledger)
-
-
-def start_year(ledger: CardLedger) -> CardLedger:
-    """Open a new accounting year with fresh counters."""
-    return replace(
-        ledger, year=ledger.year + 1, issued_this_year=0, returned_this_year=0
+    returns, child_returns = _card_returns(
+        adult + emigrants, child, ledger.active_cards, ledger.child_links
     )
-
-
-def finish_year(ledger: CardLedger) -> CardLedger:
-    """Fold the year's issuance into the active inventory."""
-    return replace(ledger, active_cards=ledger.active_cards + ledger.issued_this_year)
-
-
-def _counted_births(births: BirthCount, fert: FertilityConfig, policy: IssuancePolicy) -> BirthCount:
-    if policy is IssuancePolicy.AT_AGE_ONE:
-        return apply_infant_survival(births, fert)
-    return births
+    return replace(
+        ledger,
+        active_cards=ledger.active_cards - returns,
+        returned_this_year=ledger.returned_this_year + returns,
+        child_links=ledger.child_links - child_returns,
+    )
 
 
 def run_card_simulation(
@@ -338,13 +323,13 @@ def run_card_simulation(
     flows: Sequence[StateFlows],
     horizon: int,
     policy: IssuancePolicy = IssuancePolicy.AT_BIRTH,
-    ledger: CardLedger | None = None,
 ) -> tuple[DemandSeries, list[CardLedger]]:
     """Project the population ``horizon`` years and account each year's
     card demand, returns and ledger state.
 
     The frames come from :func:`project_population`. Per year, new cards
-    are the policy-counted births plus (except under
+    are the policy-counted births (under AT_AGE_ONE, each sex's births
+    times the infant survival factor) plus (except under
     NUMBER_AND_CARD_AT_BIRTH) the age-15 transitions, plus migration
     in-flows split evenly between the sexes; returns are the deaths of
     card holders (ages 15+, or every age under NUMBER_AND_CARD_AT_BIRTH)
@@ -356,24 +341,17 @@ def run_card_simulation(
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     cards_at_birth = policy is IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH
-    if ledger is None:
-        under15 = sum(pop.count(sex, a) for sex in Sex for a in range(CARD_AGE))
-        over15 = sum(
-            pop.count(sex, a) for sex in Sex for a in range(CARD_AGE, pop.axis.max_age + 1)
-        )
-        if cards_at_birth:
-            # everyone already holds a card; nothing rides on a linkage
-            ledger = CardLedger(
-                pop.region, pop.time_label, active_cards=_round_half_even(under15 + over15)
-            )
-        else:
-            ledger = CardLedger(
-                pop.region,
-                pop.time_label,
-                active_cards=_round_half_even(over15),
-                child_links=_round_half_even(under15),
-            )
-    inflow = sum(f.interstate_in + f.immigration for f in flows)
+    male, female = Sex.MALE.row, Sex.FEMALE.row
+    # male ages first, then female ages: the order of iterating Sex
+    cells = pop.array
+    under15 = sum(cells[male, :CARD_AGE].tolist() + cells[female, :CARD_AGE].tolist())
+    over15 = sum(cells[male, CARD_AGE:].tolist() + cells[female, CARD_AGE:].tolist())
+    if cards_at_birth:
+        # everyone already holds a card; nothing rides on a linkage
+        under15, over15 = 0.0, under15 + over15
+    active, links = _round_half_even(over15), _round_half_even(under15)
+    ledgers = [CardLedger(pop.region, pop.time_label, active, child_links=links)]
+    half_inflow = sum(f.interstate_in + f.immigration for f in flows) / 2.0
     outflow = sum(f.interstate_out + f.emigration for f in flows)
 
     series = project_population(pop, survival, fert, horizon)
@@ -388,41 +366,32 @@ def run_card_simulation(
         returned = deaths[..., CARD_AGE:].sum(axis=(1, 2)) + outflow
         released = deaths[..., :CARD_AGE].sum(axis=(1, 2))
         age15 = frames[..., CARD_AGE - 1] * s[:, CARD_AGE - 1]
+    if policy is IssuancePolicy.AT_AGE_ONE:
+        newborn = newborn * fert.infant_survival
 
-    male, female = Sex.MALE.row, Sex.FEMALE.row
     rows = []
-    ledgers = [ledger]
-    years = zip(newborn.tolist(), age15.tolist(), returned.tolist(), released.tolist())
-    for k, (born, at15, out_cards, out_links) in enumerate(years):
-        year_ledger = start_year(ledgers[-1])
-        births = BirthCount(
-            born[male] + born[female], {Sex.MALE: born[male], Sex.FEMALE: born[female]}
-        )
-        counted = _counted_births(births, fert, policy)
-        year_ledger = _issue_age15_cards(at15[male] + at15[female], year_ledger)
-        year_ledger = _return_cards(out_cards, out_links, year_ledger)
-
-        new_male = counted.sex_count(Sex.MALE) + at15[male] + inflow / 2.0
-        new_female = counted.sex_count(Sex.FEMALE) + at15[female] + inflow / 2.0
+    years = range(pop.time_label + 1, pop.time_label + horizon + 1)
+    steps = zip(years, newborn.tolist(), age15.tolist(), returned.tolist(), released.tolist())
+    for year, born, at15, out_cards, out_links in steps:
+        issued = _age15_cards(at15[male] + at15[female], links)
+        links -= issued
+        returns, links_released = _card_returns(out_cards, out_links, active, links)
+        active -= returns
+        links -= links_released
         rows.append(
             DemandRow(
-                year=series.start + k + 1,
-                new_cards_male=new_male,
-                new_cards_female=new_female,
+                year=year,
+                new_cards_male=born[male] + at15[male] + half_inflow,
+                new_cards_female=born[female] + at15[female] + half_inflow,
                 returned_cards=out_cards,
             )
         )
-
-        issued_birth_mig = _round_half_even(counted.sex_count(Sex.MALE) + inflow / 2.0) + _round_half_even(
-            counted.sex_count(Sex.FEMALE) + inflow / 2.0
-        )
-        new_links = 0 if cards_at_birth else _round_half_even(counted.total)
-        year_ledger = replace(
-            year_ledger,
-            issued_this_year=year_ledger.issued_this_year + issued_birth_mig,
-            child_links=year_ledger.child_links + new_links,
-        )
-        ledgers.append(finish_year(year_ledger))
+        issued += _round_half_even(born[male] + half_inflow)
+        issued += _round_half_even(born[female] + half_inflow)
+        if not cards_at_birth:
+            links += _round_half_even(born[male] + born[female])
+        active += issued
+        ledgers.append(CardLedger(pop.region, year, active, issued, returns, links))
 
     return DemandSeries(pop.time_label + 1, tuple(rows)), ledgers
 

@@ -62,11 +62,9 @@ class BirthCount:
     by_sex: Mapping
 
     def __post_init__(self):
-        object.__setattr__(self, "by_sex", dict(self.by_sex))
-        for sex in Sex:
-            if self.by_sex.get(sex, 0.0) < 0:
-                raise DomainError("birth counts must be non-negative")
-        if self.total < 0:
+        by_sex = dict(self.by_sex)
+        object.__setattr__(self, "by_sex", by_sex)
+        if self.total < 0 or any(n < 0 for n in by_sex.values()):
             raise DomainError("birth counts must be non-negative")
 
     def sex_count(self, sex: Sex) -> float:
@@ -176,9 +174,8 @@ def apply_infant_survival(births: BirthCount, fert: FertilityConfig) -> BirthCou
     Used only when cards are issued at age one rather than at birth; the
     projection loop itself never removes infants.
     """
-    factor = 1.0 - fert.infant_mortality / 1000.0
-    male = births.sex_count(Sex.MALE) * factor
-    female = births.sex_count(Sex.FEMALE) * factor
+    male = births.sex_count(Sex.MALE) * fert.infant_survival
+    female = births.sex_count(Sex.FEMALE) * fert.infant_survival
     return BirthCount(male + female, {Sex.MALE: male, Sex.FEMALE: female})
 
 
@@ -198,7 +195,7 @@ def survive_cohorts(
         raise DomainError(f"span must be >= 1, got {span}")
     if span > omega:
         raise DomainError(f"span {span} exceeds the age axis (max_age {omega})")
-    return AgePyramid.from_array(
+    return AgePyramid._over(
         pop.region, pop.time_label + span, pop.axis, _survive(pop.array, survival.array, span)
     )
 
@@ -252,13 +249,14 @@ def project_population(
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     counts = np.empty((horizon + 1, 2, pop.axis.n_ages))
     counts[0] = pop.array
+    male, female = Sex.MALE.row, Sex.FEMALE.row
     frame = pop
     for k in range(1, horizon + 1):
         births = project_births(frame, survival, fert)
         counts[k] = survive_cohorts(frame, survival, 1).array
-        counts[k, Sex.MALE.row, 0] = births.sex_count(Sex.MALE)
-        counts[k, Sex.FEMALE.row, 0] = births.sex_count(Sex.FEMALE)
-        frame = AgePyramid.from_array(pop.region, pop.time_label + k, pop.axis, counts[k])
+        counts[k, male, 0] = births.sex_count(Sex.MALE)
+        counts[k, female, 0] = births.sex_count(Sex.FEMALE)
+        frame = AgePyramid._over(pop.region, pop.time_label + k, pop.axis, counts[k])
     return ProjectionSeries(pop.region, pop.time_label, pop.axis, counts)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -104,6 +105,29 @@ class TestMetropolisSampler:
         b = metropolis_sample(TWO_OBS, prior, 5000, seed=11, proposal_scale=0.5)
         assert np.array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
+
+    # sha256 of chain.samples and the acceptance rate of each chain,
+    # recorded from the one-sample-at-a-time loop; the lengths straddle
+    # the sampler's 4096-sample blocks
+    @pytest.mark.parametrize(
+        "seed, n, digest, acceptance",
+        [
+            (7, 1, "f235c65eb8da3b521054724169ef73015141614896a46cf49ad9019884ca1fc5", 1.0),
+            (7, 4095, "3e059897380f9c5efca966b0d5ab65c922c42550d2456f0fb650efe09f2b1c8c", 0.5567765567765568),
+            (7, 4096, "5bfb901692b50518041e181f499d8e9205e3031b9a6cdf03340b4930a608b094", 0.5576171875),
+            (7, 4097, "70b9768e294ddd6844353758834f3322a4af8fdc49076df7ded500938c49ce73", 0.5630949475225775),
+            (7, 100000, "3eea794d947ca7f6ebb5563c8dbe27fbfe5e4c15d4004fe7c424d19affbde64a", 0.56119),
+            (2011, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712", 0.0),
+            (2011, 4095, "425a6a9c5ac54b3eeb538c618d33848936c02d2dfa8a58453ab791ead20ba758", 0.546031746031746),
+            (2011, 4096, "cb611cbfa38cce1d6b112b68f8eedd2c0baa29dc78964a40960cb5690c62cd0b", 0.550048828125),
+            (2011, 4097, "82fa6fc46df2fa278f35252d8786903ec9f1dca609860b510921afca68abc4ae", 0.5528435440566268),
+            (2011, 100000, "d9058286ed4d2c6114600506601cfb6ac29e3c925248e245ebb861c6f3cb02f5", 0.55993),
+        ],
+    )
+    def test_chain_matches_recorded_digest(self, seed, n, digest, acceptance):
+        chain = metropolis_sample(TWO_OBS, PriorSpec(1.0, 1.0), n, seed=seed, proposal_scale=0.5)
+        assert hashlib.sha256(chain.samples.tobytes()).hexdigest() == digest
+        assert chain.acceptance_rate == acceptance
 
     def test_different_seeds_differ(self):
         prior = PriorSpec(1.0, 1.0)

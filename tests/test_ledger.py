@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uidforge import (
     AgeAxis,
+    AgePyramid,
     CardLedger,
     ConsistencyError,
     DemandRow,
@@ -28,8 +33,12 @@ from uidforge import (
     process_card_returns,
     run_card_simulation,
 )
+from uidforge.csvio import emit_demand_csv
 from uidforge.ledger import micro_state_contribution
 from conftest import dense_pyramid
+from test_acceptance import national_demand_inputs
+
+DATA = Path(__file__).parent / "data"
 
 
 def state(code="ST"):
@@ -381,3 +390,82 @@ class TestCardSimulation:
         pop, sched, fert, flows = toy_inputs(region)
         with pytest.raises(DomainError):
             annual_card_requirement_series(pop, sched, fert, flows, 0)
+
+
+@st.composite
+def ledger_inputs(draw):
+    """A dense pyramid and survival schedule on a random axis, flat
+    fertility, up to two flow records, a policy and a horizon."""
+    axis = AgeAxis(draw(st.integers(49, 70)))
+    cells = 2 * axis.n_ages
+    counts = draw(st.lists(st.floats(0.0, 1e6), min_size=cells, max_size=cells))
+    pop = AgePyramid.from_array(
+        RegionId("HY"), 2011, axis, np.array(counts).reshape(2, axis.n_ages)
+    )
+    probs = iter(draw(st.lists(st.floats(0.0, 1.0), min_size=cells, max_size=cells)))
+    survival = SurvivalSchedule(
+        RegionId("HY"),
+        axis,
+        {(sex, a): 0.0 if a == axis.max_age else next(probs) for sex in Sex for a in axis.ages()},
+    )
+    fert = FertilityConfig.flat(
+        draw(st.floats(0.0, 0.3)),
+        eligible_proportion=draw(st.floats(0.0, 1.0)),
+        sex_ratio_at_birth=draw(st.floats(0.8, 1.3)),
+        infant_mortality=draw(st.floats(0.0, 1000.0, exclude_max=True)),
+    )
+    flow = st.builds(
+        count_flow, st.just("ST"), *[st.floats(0.0, 1e3) for _ in range(6)]
+    )
+    flows = draw(st.lists(flow, max_size=2))
+    policy = draw(st.sampled_from(list(IssuancePolicy)))
+    return pop, survival, fert, flows, draw(st.integers(1, 25)), policy
+
+
+class TestCardSimulationProperties:
+    @given(ledger_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_and_snapshots_agree(self, inputs):
+        pop, survival, fert, flows, horizon, policy = inputs
+        try:
+            series, ledgers = run_card_simulation(pop, survival, fert, flows, horizon, policy)
+        except ConsistencyError:
+            return  # the ledger refusing an overdraw is the one allowed failure
+        assert len(series.rows) == horizon and ledgers[0].year == pop.time_label
+        for prev, cur, row in zip(ledgers, ledgers[1:], series.rows):
+            assert cur.active_cards == prev.active_cards + cur.issued_this_year - cur.returned_this_year
+            assert cur.child_links >= 0
+            assert row.year == cur.year
+            assert round(row.returned_cards) == cur.returned_this_year
+
+
+class TestNationalDemand:
+    """Criterion 08's national inputs over thirty years, under the two
+    policies that the three-year golden file does not cover."""
+
+    @pytest.mark.parametrize(
+        "policy, infant_mortality, golden",
+        [
+            (IssuancePolicy.AT_AGE_ONE, 44.0, "golden_demand_at_age_one_30yr.csv"),
+            (IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH, 0.0, "golden_demand_full_30yr.csv"),
+        ],
+    )
+    def test_demand_file_matches_golden(self, tmp_path, policy, infant_mortality, golden):
+        pyramid, survival, fert, flows = national_demand_inputs()
+        fert = replace(fert, infant_mortality=infant_mortality)
+        series = annual_card_requirement_series(pyramid, survival, fert, flows, 30, policy)
+        emit_demand_csv(series, tmp_path / "demand.csv")
+        assert (tmp_path / "demand.csv").read_bytes() == (DATA / golden).read_bytes()
+
+    @pytest.mark.xfail(
+        raises=ConsistencyError,
+        strict=True,
+        reason="child links are added at (1 - IMR) x births, but every age-0 death "
+        "releases one (ROADMAP item 2b)",
+    )
+    def test_at_age_one_links_cover_infant_deaths(self):
+        pyramid, survival, fert, flows = national_demand_inputs()
+        fert = replace(fert, infant_mortality=300.0)
+        annual_card_requirement_series(
+            pyramid, survival, fert, flows, 60, IssuancePolicy.AT_AGE_ONE
+        )
