@@ -13,6 +13,7 @@ occurred.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -81,6 +82,7 @@ class RunConfig:
         return self.options.get("base_year", 0)
 
 
+@functools.cache  # parse_args leaves a parser as it was, so one serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uidforge",

@@ -3,9 +3,12 @@ survival schedules and fertility configuration.
 
 All types are immutable after construction and safe to share between
 threads; every operation in this package is a pure function of them.
-Pyramids and survival schedules also expose their cells as a read-only
-float64 array of shape ``(2, n_ages)``, rows in :data:`SEX_ROWS` order,
-which is what the projection arithmetic runs on.
+Pyramids and survival schedules hold their cells in a read-only float64
+array of shape ``(2, n_ages)``, rows in :data:`SEX_ROWS` order, with a
+mask of the cells present (:class:`Cells`). The CSV loaders fill that
+array directly, the projection and coverage arithmetic run on it, and
+``AgePyramid.counts`` / ``SurvivalSchedule.one_year`` are (sex, age)
+mapping views of it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -94,37 +97,58 @@ def require_finite_nonnegative(name: str, value) -> None:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def _freeze_mapping(raw) -> Mapping:
-    return MappingProxyType(dict(raw))
+@cache
+def _every_cell(n_ages: int) -> np.ndarray:
+    mask = np.ones((2, n_ages), dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
-class _ArrayCells(Mapping):
-    """Read-only (sex, age) -> count mapping over a ``(2, n_ages)``
-    array; every cell of the axis is present."""
+class Cells(Mapping):
+    """Read-only (sex, age) -> value mapping over a float64 ``(2, n_ages)``
+    ``array`` and its ``present`` mask (default: every cell); absent cells
+    hold 0.0. Cells beyond the axis are kept apart in ``off_axis`` so that
+    :func:`validate_pyramid` can report them; no arithmetic reads them.
+    Keys run in (sex, age) order, F before M, then the off-axis keys."""
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "present", "off_axis")
 
-    def __init__(self, array: np.ndarray):
-        self.array = array
+    def __init__(self, array: np.ndarray, present: np.ndarray | None = None, off_axis=None):
+        if present is None:
+            present = _every_cell(array.shape[1])
+        else:
+            present.flags.writeable = False
+        array.flags.writeable = False
+        self.array, self.present, self.off_axis = array, present, off_axis or {}
 
-    def __contains__(self, key) -> bool:
-        try:
-            sex, age = key
-        except (TypeError, ValueError):
-            return False
-        return isinstance(sex, Sex) and age in range(self.array.shape[1])
+    @classmethod
+    def of(cls, cells: Mapping, axis: AgeAxis) -> "Cells":
+        """Copy of a (sex, age) -> number mapping on ``axis``."""
+        array, present = np.zeros((2, axis.n_ages)), np.zeros((2, axis.n_ages), dtype=bool)
+        off_axis = {}
+        for (sex, age), v in dict(cells).items():
+            if not isinstance(v, (int, float)):
+                raise DomainError(f"cell ({sex.value}, {age}) = {v!r} is not a number")
+            if age in range(axis.n_ages):
+                array[sex.row, age], present[sex.row, age] = v, True
+            else:
+                off_axis[(sex, age)] = v
+        return cls(array, present, off_axis)
 
     def __getitem__(self, key) -> float:
-        if key not in self:
-            raise KeyError(key)
-        sex, age = key
-        return self.array.item(sex.row, int(age))
+        sex, age = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        if isinstance(sex, Sex) and age in range(self.array.shape[1]):
+            if self.present.item(sex.row, int(age)):
+                return self.array.item(sex.row, int(age))
+        return self.off_axis[key]
 
     def __iter__(self):
-        return ((sex, age) for sex in Sex for age in range(self.array.shape[1]))
+        rows, ages = np.nonzero(self.present)
+        yield from zip(map(SEX_ROWS.__getitem__, rows.tolist()), ages.tolist())
+        yield from self.off_axis
 
     def __len__(self) -> int:
-        return self.array.size
+        return np.count_nonzero(self.present) + len(self.off_axis)
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -136,10 +160,13 @@ class AgePyramid:
     point in time.
 
     Counts are expected-value reals, not integers; rounding happens only
-    at report time. The container is deliberately permissive (sparse or
-    even invalid cells are representable) so that :func:`validate_pyramid`
-    can report problems instead of the constructor hiding them. Missing
-    cells read as 0.0 through :meth:`count`.
+    at report time. ``counts`` is a :class:`Cells` view of the read-only
+    ``array`` and its ``present`` mask; a mapping given to the
+    constructor is copied into that form. The container is deliberately
+    permissive (sparse or even invalid cells are representable) so that
+    :func:`validate_pyramid` can report problems instead of the
+    constructor hiding them. Missing cells read as 0.0 through
+    :meth:`count`.
     """
 
     region: RegionId
@@ -148,8 +175,19 @@ class AgePyramid:
     counts: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.counts, _ArrayCells):
-            object.__setattr__(self, "counts", _freeze_mapping(self.counts))
+        if not isinstance(self.counts, Cells):
+            object.__setattr__(self, "counts", Cells.of(self.counts, self.axis))
+
+    @property
+    def array(self) -> np.ndarray:
+        """Counts as a read-only ``(2, n_ages)`` array; missing cells read
+        0.0 and cells beyond the axis are left out."""
+        return self.counts.array
+
+    @property
+    def present(self) -> np.ndarray:
+        """Read-only ``(2, n_ages)`` mask of the cells present."""
+        return self.counts.present
 
     def count(self, sex: Sex, age: int) -> float:
         return self.counts.get((sex, age), 0.0)
@@ -160,38 +198,31 @@ class AgePyramid:
     @cached_property
     def complete(self) -> bool:
         """Whether every (sex, age) cell of the axis is present."""
-        return all(self.has_cell(sex, age) for sex in Sex for age in self.axis.ages())
+        return bool(self.present.all())
 
     def total(self, sex: Sex | None = None) -> float:
+        """Sum of the present cells, added in (sex, age) order."""
         if sex is None:
-            return float(sum(self.counts.values()))
-        return float(sum(v for (s, _), v in self.counts.items() if s is sex))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """Counts as a read-only ``(2, n_ages)`` array; missing cells read
-        0.0 and cells beyond the axis are left out."""
-        out = np.zeros((2, self.axis.n_ages))
-        for (sex, age), v in self.counts.items():
-            if self.axis.contains(age):
-                out[sex.row, age] = v
-        out.flags.writeable = False
-        return out
+            return float(sum(self.array[self.present].tolist()))
+        return float(sum(self.array[sex.row, self.present[sex.row]].tolist()))
 
     def densified(self) -> "AgePyramid":
         """Copy with every (sex, age) cell present, missing cells as 0.0."""
         return AgePyramid.from_array(self.region, self.time_label, self.axis, self.array)
 
-    def replace_counts(self, counts: Mapping, time_label: int | None = None) -> "AgePyramid":
-        label = self.time_label if time_label is None else time_label
-        return AgePyramid(self.region, label, self.axis, counts)
+    def replace_counts(self, array: np.ndarray, present=None) -> "AgePyramid":
+        """Copy over a float64 ``(2, n_ages)`` ``array`` that the caller
+        no longer writes, with ``present`` (default: this mask); cells
+        beyond the axis are carried as they are."""
+        mask = self.present if present is None else present
+        cells = Cells(array, mask, self.counts.off_axis)
+        return AgePyramid(self.region, self.time_label, self.axis, cells)
 
     @classmethod
     def from_array(
         cls, region: RegionId, time_label: int, axis: AgeAxis, array: np.ndarray
     ) -> "AgePyramid":
-        """Dense pyramid over a copy of the ``(2, n_ages)`` ``array``; its
-        ``counts`` read the array instead of holding a dict."""
+        """Dense pyramid over a copy of the ``(2, n_ages)`` ``array``."""
         if array.shape != (2, axis.n_ages):
             raise DomainError(
                 f"pyramid array must have shape (2, {axis.n_ages}), got {array.shape}"
@@ -205,11 +236,8 @@ class AgePyramid:
         """:meth:`from_array` without the copy, for a float64 ``(2, n_ages)``
         array that the caller owns and no longer writes; it is made
         read-only."""
-        cells.flags.writeable = False
-        pyramid = cls(region, time_label, axis, _ArrayCells(cells))
-        # fill the cached properties now; the projection loop reads both
-        object.__setattr__(pyramid, "array", cells)
-        object.__setattr__(pyramid, "complete", True)
+        pyramid = cls(region, time_label, axis, Cells(cells))
+        object.__setattr__(pyramid, "complete", True)  # the projection loop reads it
         return pyramid
 
 
@@ -218,12 +246,14 @@ class SurvivalSchedule:
     """One-year survival probabilities by (sex, age) for a region.
 
     ``one_year[(sex, x)]`` is the chance that a person of age x lives to
-    age x+1. The schedule is dense: every age 0..max_age must be present
-    for both sexes, values lie in [0, 1], and the value at the last age
-    of life is 0. Multi-year survival is always composed from these
-    one-year factors, keeping a single source of truth;
-    :func:`multi_year_survival` is the cell-by-cell reference for the
-    array arithmetic in :mod:`uidforge.projection`.
+    age x+1; it is a :class:`Cells` view of the read-only ``array``, and
+    a mapping given to the constructor is copied into that form. The
+    schedule is dense: every age 0..max_age must be present for both
+    sexes, values lie in [0, 1], and the value at the last age of life
+    is 0. Multi-year survival is always composed from these one-year
+    factors, keeping a single source of truth; :func:`multi_year_survival`
+    is the cell-by-cell reference for the array arithmetic in
+    :mod:`uidforge.projection`.
     """
 
     region: RegionId
@@ -231,51 +261,47 @@ class SurvivalSchedule:
     one_year: Mapping
 
     def __post_init__(self):
-        cells = dict(self.one_year)
+        cells = self.one_year
+        if not isinstance(cells, Cells):
+            cells = Cells.of(cells, self.axis)
         for sex in Sex:
-            for age in self.axis.ages():
-                key = (sex, age)
-                if key not in cells:
+            p, present = cells.array[sex.row], cells.present[sex.row]
+            bad = ~(present & (p >= 0.0) & (p <= 1.0))
+            if bad.any():
+                age = int(bad.argmax())
+                if not present[age]:
                     raise DomainError(f"survival schedule missing ({sex.value}, {age})")
-                p = cells[key]
-                if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
-                    raise DomainError(
-                        f"survival({sex.value}, {age}) = {p!r} is not a probability"
-                    )
-            if cells[(sex, self.axis.max_age)] != 0.0:
+                raise DomainError(
+                    f"survival({sex.value}, {age}) = {p.item(age)!r} is not a probability"
+                )
+            if p[-1] != 0.0:
                 raise DomainError(
                     f"survival at last age of life ({self.axis.max_age}) must be 0"
                 )
-        for (sex, age) in cells:
-            if not self.axis.contains(age):
-                raise DomainError(f"survival schedule has age {age} beyond axis")
-        object.__setattr__(self, "one_year", _freeze_mapping(cells))
+        for (sex, age) in cells.off_axis:
+            raise DomainError(f"survival schedule has age {age} beyond axis")
+        object.__setattr__(self, "one_year", cells)
+
+    @property
+    def array(self) -> np.ndarray:
+        """One-year survival as a read-only ``(2, n_ages)`` array."""
+        return self.one_year.array
 
     def prob(self, sex: Sex, age: int) -> float:
         if not self.axis.contains(age):
             raise DomainError(f"age {age} outside axis 0..{self.axis.max_age}")
-        return self.one_year[(sex, age)]
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """One-year survival as a read-only ``(2, n_ages)`` array."""
-        out = np.array([[self.one_year[(sex, a)] for a in self.axis.ages()] for sex in SEX_ROWS])
-        out.flags.writeable = False
-        return out
+        return self.array.item(sex.row, age)
 
     @classmethod
     def flat(
         cls, region: RegionId, axis: AgeAxis, male: float, female: float | None = None
     ) -> "SurvivalSchedule":
         """Constant survival at every age (the last age of life stays 0)."""
-        if female is None:
-            female = male
-        cells = {}
-        for age in axis.ages():
-            last = age == axis.max_age
-            cells[(Sex.MALE, age)] = 0.0 if last else float(male)
-            cells[(Sex.FEMALE, age)] = 0.0 if last else float(female)
-        return cls(region, axis, cells)
+        p = np.empty((2, axis.n_ages))
+        p[Sex.MALE.row] = float(male)
+        p[Sex.FEMALE.row] = float(male if female is None else female)
+        p[:, -1] = 0.0
+        return cls(region, axis, Cells(p))
 
 
 @dataclass(frozen=True)
@@ -315,7 +341,7 @@ class FertilityConfig:
                     f"[{REPRODUCTIVE_AGE_MIN}, {REPRODUCTIVE_AGE_MAX}]"
                 )
             cells[age] = float(f)
-        object.__setattr__(self, "rates", _freeze_mapping(cells))
+        object.__setattr__(self, "rates", MappingProxyType(cells))
         if not 0.0 <= self.eligible_proportion <= 1.0:
             raise DomainError("eligible_proportion must lie in [0, 1]")
         if not (math.isfinite(self.sex_ratio_at_birth) and self.sex_ratio_at_birth > 0):
@@ -375,8 +401,8 @@ def multi_year_survival(
             f"age {age} + span {span} reaches past the last age of life ({axis.max_age})"
         )
     p = 1.0
-    for x in range(age, age + span):
-        p *= schedule.one_year[(sex, x)]
+    for s in schedule.array[sex.row, age : age + span].tolist():
+        p *= s
     return p
 
 

@@ -78,14 +78,13 @@ def apply_omission_adjustment(pyramid: AgePyramid, cfg: CoverageConfig) -> AgePy
     if not 0.0 <= rate < 1000.0:
         raise DomainError("omission rate must lie in [0, 1000) per 1000")
     factor = 1.0 / (1.0 - rate / 1000.0)
-    cells = {key: v * factor for key, v in pyramid.counts.items()}
-    return pyramid.replace_counts(cells)
+    return pyramid.replace_counts(pyramid.array * factor)
 
 
 def allocate_unknown_age(pyramid: AgePyramid, cfg: CoverageConfig) -> AgePyramid:
     """Prorate each sex's unknown-age count across that sex's known age
     distribution, leaving every cell's share of the sex total unchanged."""
-    cells = dict(pyramid.counts)
+    cells = pyramid.array.copy()
     for sex in Sex:
         unknown = cfg.unknown(sex)
         if unknown == 0.0:
@@ -96,10 +95,7 @@ def allocate_unknown_age(pyramid: AgePyramid, cfg: CoverageConfig) -> AgePyramid
                 f"cannot allocate {unknown} unknown-age {sex.value} records: "
                 "no known-age counts to prorate over"
             )
-        factor = (known + unknown) / known
-        for key, v in pyramid.counts.items():
-            if key[0] is sex:
-                cells[key] = v * factor
+        cells[sex.row] *= (known + unknown) / known
     return pyramid.replace_counts(cells)
 
 
@@ -114,9 +110,10 @@ def add_enumeration_segments(
     weight_sum = sum(segment_age_profile.values())
     if not math.isclose(weight_sum, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise DomainError(f"segment age profile weights sum to {weight_sum!r}, not 1")
-    cells = dict(pyramid.counts)
-    for key, w in segment_age_profile.items():
-        if w < 0:
-            raise DomainError(f"segment weight for {key} must be >= 0")
-        cells[key] = cells.get(key, 0.0) + segment_total * w
-    return pyramid.replace_counts(cells)
+    cells, present = pyramid.array.copy(), pyramid.present.copy()
+    for (sex, age), w in segment_age_profile.items():
+        if w < 0 or not pyramid.axis.contains(age):
+            raise DomainError(f"segment weight for ({sex.value}, {age}) must be >= 0 on the axis")
+        cells[sex.row, age] += segment_total * w
+        present[sex.row, age] = True
+    return pyramid.replace_counts(cells, present)

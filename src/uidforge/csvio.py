@@ -4,11 +4,16 @@ All files are UTF-8, comma-delimited, with a required header row and
 LF line endings. Counts are written with shortest round-trip float
 formatting so that load(emit(x)) reproduces x bit-exactly; demand rows
 are the exception, rounded half-to-even to whole cards at emit time.
+Population and survival files are read in blocks of rows straight into
+one ``(regions, 2, n_ages)`` array and presence mask per file; each
+region's pyramid or schedule is a view of it, and the population writer
+formats from the array and mask.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -16,7 +21,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .bayes import ChainSummary, DemandObservation, PosteriorChain
-from .core import SEX_ROWS, AgeAxis, AgePyramid, RegionId, RegionLevel, Sex, SurvivalSchedule
+from .core import (
+    SEX_ROWS, AgeAxis, AgePyramid, Cells, RegionId, RegionLevel, Sex, SurvivalSchedule
+)
 from .errors import DataError, DomainError, InsufficientDataError, ParseError, UidforgeError
 from .ledger import (
     DemandSeries,
@@ -38,7 +45,10 @@ OBSERVATIONS_HEADER = ["year", "count", "exposure"]
 UNKNOWN_AGE_HEADER = ["sex", "count"]
 POSTERIOR_HEADER = "mean,variance,ci_low,ci_high,acceptance_rate,n_samples,burn_in,seed".split(",")
 
-_SEX_CODES = {"M": Sex.MALE, "F": Sex.FEMALE}
+_SEX_CODES = {sex.value: sex for sex in SEX_ROWS}
+_SEX_ROW = {sex.value: sex.row for sex in SEX_ROWS}
+#: data rows read and checked at a time
+_BLOCK = 4096
 
 
 def _table(path, *headers: list[str]):
@@ -48,10 +58,13 @@ def _table(path, *headers: list[str]):
     lines and rejects a row whose field count differs from the header's.
     """
     rows = _header_then_rows(path, headers)
-    return next(rows), rows
+    header = next(rows)
+    return header, _checked(path, header, 2, rows)
 
 
 def _header_then_rows(path, headers):
+    """The matching header, then the raw data rows; a read error is a
+    ParseError at line 0."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -61,16 +74,21 @@ def _header_then_rows(path, headers):
                 expected = " nor ".join(",".join(h) for h in headers)
                 raise ParseError(path, 1, f"header {','.join(header)!r} {verb} {expected}")
             yield header
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(
-                        path, line_no, f"expected {len(header)} fields, got {len(row)}"
-                    )
-                yield line_no, [f.strip() for f in row]
+            yield from reader
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}") from exc
+
+
+def _checked(path, header, first_line, rows):
+    """``(line_no, stripped fields)`` of raw ``rows`` numbered from
+    ``first_line``, blank rows skipped; a row of the wrong width is a
+    ParseError at its line."""
+    for line_no, row in enumerate(rows, start=first_line):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
+        yield line_no, [f.strip() for f in row]
 
 
 def _parse_float(path, line_no, field, text) -> float:
@@ -102,11 +120,69 @@ def _parse_sex(path, line_no, text) -> Sex:
 
 
 def _region_cells(path, header: list[str], axis: AgeAxis) -> dict:
-    """Read a ``region,sex,age,<value>`` file into region -> {(sex, age):
-    value}, rejecting at its line an empty region, a bad sex, an age off
-    ``axis``, a negative or non-finite value and a duplicate key."""
-    _, rows = _table(path, header)
-    per_region: dict[str, dict] = {}
+    """Read a ``region,sex,age,<value>`` file into region code ->
+    :class:`Cells`, in first-seen order; all are views of one
+    ``(R, 2, n_ages)`` float64 array and its presence mask. A block of
+    rows that fails a column check (:func:`_block_cells`) is read again
+    row by row (:func:`_row_cells`), so its first bad line raises."""
+    rows = _header_then_rows(path, [header])
+    next(rows)
+    slots: dict[str, int] = {}
+    values, present = np.zeros(0), np.zeros(0, dtype=bool)
+    for first_line in itertools.count(2, _BLOCK):
+        block = []
+        try:
+            block.extend(itertools.islice(rows, _BLOCK))
+        except ParseError:  # extend keeps the rows read before the error; they go first
+            _row_cells(path, header, axis, first_line, block, slots, present)
+            raise
+        if not block:
+            break
+        cells = _block_cells(block, axis, slots, present)
+        if cells is None:
+            cells = _row_cells(path, header, axis, first_line, block, slots, present)
+        if (size := 2 * axis.n_ages * len(slots)) > values.size:  # at least double
+            values, present = np.pad(values, (0, size)), np.pad(present, (0, size))
+        values[cells[0]], present[cells[0]] = cells[1], True
+    shape = (len(slots), 2, axis.n_ages)
+    values = values[: math.prod(shape)].reshape(shape)
+    present = present[: values.size].reshape(shape)
+    return {code: Cells(values[r], present[r]) for code, r in slots.items()}
+
+
+def _block_cells(block, axis: AgeAxis, slots: dict, present: np.ndarray):
+    """Flat ``(region slot, sex row, age)`` keys and the values of a block
+    of raw rows, each with four fields, a region code without surrounding
+    blanks, a sex of M or F, an age written as one of the axis's ages, a
+    finite non-negative number and a key not ``present`` nor repeated;
+    None if a row fails. The block's new region codes get slots."""
+    try:
+        regions, sexes, ages, values = zip(*block, strict=True)
+        age_of = {str(age): age for age in axis.ages()}
+        age = np.fromiter(map(age_of.__getitem__, ages), np.intp, len(block))
+        sex = np.fromiter(map(_SEX_ROW.__getitem__, sexes), np.intp, len(block))
+        value = np.fromiter(map(float, values), float, len(block))
+    except (ValueError, KeyError):
+        return None
+    codes = dict.fromkeys(regions)
+    finite = (value >= 0) & (value < math.inf)
+    if not (finite.all() and all(c and c == c.strip() for c in codes)):
+        return None
+    for code in codes:
+        slots.setdefault(code, len(slots))
+    slot = np.fromiter(map(slots.__getitem__, regions), np.intp, len(block))
+    keys = (2 * slot + sex) * axis.n_ages + age
+    if present[keys[keys < present.size]].any() or not np.diff(np.sort(keys)).all():
+        return None
+    return keys, value
+
+
+def _row_cells(path, header, axis, first_line, block, slots, present):
+    """:func:`_block_cells` row by row: the block's keys and values, or
+    the error of its first bad line (an empty region, a bad sex, an age
+    off ``axis``, a duplicate key, a bad, negative or non-finite value)."""
+    cells = {}
+    rows = _checked(path, header, first_line, block)
     for line_no, (region, sex_txt, age_txt, value_txt) in rows:
         if not region:
             raise ParseError(path, line_no, "region code is empty")
@@ -114,11 +190,11 @@ def _region_cells(path, header: list[str], axis: AgeAxis) -> dict:
         age = _parse_int(path, line_no, "age", age_txt)
         if not axis.contains(age):
             raise ParseError(path, line_no, f"age {age} outside axis 0..{axis.max_age}")
-        cells = per_region.setdefault(region, {})
-        if (sex, age) in cells:
+        key = (2 * slots.setdefault(region, len(slots)) + sex.row) * axis.n_ages + age
+        if key in cells or (key < present.size and present[key]):
             raise DataError(path, line_no, f"duplicate key ({region}, {sex.value}, {age})")
-        cells[(sex, age)] = _parse_float(path, line_no, header[-1], value_txt)
-    return per_region
+        cells[key] = _parse_float(path, line_no, header[-1], value_txt)
+    return np.fromiter(cells, np.intp, len(cells)), np.fromiter(cells.values(), float, len(cells))
 
 
 def load_population_csv(
@@ -128,7 +204,8 @@ def load_population_csv(
 
     Rejects negative counts, duplicate (region, sex, age) keys and ages
     beyond the axis. A header-only file is an empty dataset, not an
-    error. Absent cells are simply absent; densify before projecting.
+    error. Each pyramid is a view of the one array the file was read
+    into; absent cells are simply absent, so densify before projecting.
     """
     axis = axis or AgeAxis()
     return {
@@ -231,21 +308,22 @@ def write_file(path, chunks: Iterable[str]):
         raise ParseError(path, 0, f"cannot write file: {exc}") from exc
 
 
-def format_count(x: float) -> str:
-    return repr(float(x))
-
-
 def emit_population_csv(pyramids: Mapping, path):
     """Write pyramids back to the ``region,sex,age,count`` schema with
-    round-trip-exact counts, rows sorted by (region, sex, age). A region
-    with a non-finite count is a DomainError."""
+    round-trip-exact counts, one row per present cell, sorted by (region,
+    sex, age). A region with a non-finite count or a cell beyond the axis
+    is a DomainError."""
     lines = [",".join(POPULATION_HEADER) + "\n"]
     for code in sorted(pyramids):
-        counts = pyramids[code].counts
-        if not all(map(math.isfinite, counts.values())):
+        pyramid = pyramids[code]
+        if not np.isfinite(pyramid.array).all():
             raise DomainError(f"region {code}: a count is not finite")
-        for (sex, age) in sorted(counts, key=lambda k: (k[0].value, k[1])):
-            lines.append(f"{code},{sex.value},{age},{format_count(counts[(sex, age)])}\n")
+        if pyramid.counts.off_axis:
+            raise DomainError(f"region {code}: a cell lies beyond the age axis")
+        for sex in SEX_ROWS:  # F before M, the order of the sex codes
+            present, prefix = pyramid.present[sex.row], f"{code},{sex.value},"
+            cells = zip(np.flatnonzero(present).tolist(), pyramid.array[sex.row, present].tolist())
+            lines.append("".join([f"{prefix}{age},{v!r}\n" for age, v in cells]))
     write_file(path, lines)
 
 

@@ -278,6 +278,25 @@ class TestPyramidBasics:
         assert dense.count(Sex.FEMALE, 2) == 9.0
         assert dense.total() == 9.0
 
+    def test_total_adds_in_sex_then_age_order(self, region):
+        # 1 + 1 + 1e16 is 1e16 + 2, but 1e16 + 1 + 1 rounds back to 1e16
+        axis = AgeAxis(3)
+        cells = {(Sex.FEMALE, 2): 1e16, (Sex.FEMALE, 1): 1.0, (Sex.FEMALE, 0): 1.0}
+        pyr = AgePyramid(region, 2011, axis, cells)
+        assert pyr.total(Sex.FEMALE) == pyr.total() == 1e16 + 2
+
+    def test_cells_beyond_the_axis_are_kept_apart(self, region):
+        axis = AgeAxis(3)
+        pyr = AgePyramid(region, 2011, axis, {(Sex.MALE, 9): 4.0, (Sex.FEMALE, 1): 2.0})
+        assert pyr.has_cell(Sex.MALE, 9) and pyr.count(Sex.MALE, 9) == 4.0
+        assert list(pyr.counts) == [(Sex.FEMALE, 1), (Sex.MALE, 9)]
+        assert pyr.array.sum() == pyr.total() == 2.0
+        assert pyr.present.sum() == 1 and len(pyr.counts) == 2
+
+    def test_non_number_cell_rejected(self, region):
+        with pytest.raises(DomainError, match="not a number"):
+            AgePyramid(region, 2011, AgeAxis(3), {(Sex.MALE, 1): "5"})
+
     def test_counts_are_immutable(self, region):
         axis = AgeAxis(2)
         pyr = dense_pyramid(region, 2011, axis)

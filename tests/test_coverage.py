@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from uidforge import (
     AgeAxis,
+    AgePyramid,
     AllocationError,
     CoverageConfig,
     DomainError,
@@ -174,6 +175,18 @@ class TestEnumerationSegments:
         profile = {(sex, a): 1.0 / 120 for sex in Sex for a in range(20, 80)}
         out = add_enumeration_segments(pyr, cfg, profile)
         assert out.total() - pyr.total() == pytest.approx(2.0e6, rel=1e-9)
+
+    def test_profile_cell_beyond_the_axis_rejected(self, region):
+        pyr = dense_pyramid(region, 2011, AgeAxis(5))
+        cfg = CoverageConfig(houseless_rural=10.0)
+        with pytest.raises(DomainError, match=r"\(M, 9\) must be >= 0 on the axis"):
+            add_enumeration_segments(pyr, cfg, {(Sex.MALE, 9): 1.0})
+
+    def test_new_profile_cells_become_present(self, region):
+        pyr = AgePyramid(region, 2011, AgeAxis(5), {(Sex.FEMALE, 1): 3.0})
+        cfg = CoverageConfig(houseless_urban=4.0)
+        out = add_enumeration_segments(pyr, cfg, {(Sex.MALE, 2): 0.25, (Sex.FEMALE, 1): 0.75})
+        assert out.counts == {(Sex.FEMALE, 1): 6.0, (Sex.MALE, 2): 1.0}
 
     def test_bad_weight_sum_rejected(self, region, axis):
         pyr = dense_pyramid(region, 2011, axis)

@@ -1,13 +1,19 @@
+import string
 from functools import partial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uidforge import (
     AgeAxis,
+    AgePyramid,
     ConsistencyError,
     DataError,
     DemandRow,
     DemandSeries,
+    DomainError,
     InsufficientDataError,
     ParseError,
     RegionId,
@@ -159,6 +165,12 @@ class TestLoadPopulation:
         emit_population_csv({"IN": pyramid}, out)
         back = load_population_csv(out, axis, time_label=2011)
         assert back["IN"].counts == pyramid.counts
+
+    def test_cell_beyond_the_axis_is_not_written(self, tmp_path, region):
+        pyramid = AgePyramid(region, 2011, AgeAxis(3), {(Sex.FEMALE, 1): 5.0, (Sex.MALE, 7): 1.0})
+        with pytest.raises(DomainError, match="region IN: a cell lies beyond the age axis"):
+            emit_population_csv({"IN": pyramid}, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestLoadFlows:
@@ -326,3 +338,120 @@ class TestLoadSurvival:
         with pytest.raises(error, match=words) as err:
             load_survival_csv(path, AgeAxis(3))
         assert err.value.line_no == 2
+
+
+def region_file_lines(kind, n_regions=25):
+    """Header and rows of a valid ``kind`` file on AgeAxis(100) with more
+    rows than one read block: regions R00.., F then M, ages 0..100."""
+    lines = ["region,sex,age,count" if kind == "population" else "region,sex,age,p"]
+    for r in range(n_regions):
+        for sex in "FM":
+            for age in range(101):
+                if kind == "population":
+                    value = f"{(r * 37 + age) % 97 + 0.5}"
+                else:
+                    value = "0.0" if age == 100 else "0.9"
+                lines.append(f"R{r:02d},{sex},{age},{value}")
+    return lines
+
+
+def edit_field(line, **fields):
+    region, sex, age, value = line.split(",")
+    row = {"region": region, "sex": sex, "age": age, "value": value, **fields}
+    return ",".join(row[k] for k in ("region", "sex", "age", "value"))
+
+
+LOADERS = {"population": load_population_csv, "survival": load_survival_csv}
+
+#: name -> (edits as line number -> new text or field changes, error class,
+#: line number, message); {field} is the value column's name
+BLOCK_CASES = {
+    "bad value after the first block": (
+        {4600: {"value": "-1"}}, DataError, 4600, "negative {field} -1.0"
+    ),
+    "two faults in one row": (
+        {4600: {"sex": "X", "age": "500"}}, ParseError, 4600, "sex must be M or F, got 'X'"
+    ),
+    "duplicate of a key in an earlier block": (
+        {4600: {"region": "R00", "sex": "F", "age": "1"}},
+        DataError, 4600, "duplicate key (R00, F, 1)",
+    ),
+    "blank line before the bad row": (
+        {4550: "", 4600: {"value": "nan"}}, DataError, 4600, "{field} 'nan' is not finite"
+    ),
+    "blank line after the bad row": (
+        {4600: {"age": "2.5"}, 4650: ""}, ParseError, 4600, "age '2.5' is not an integer"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+class TestRegionCellsAcrossBlocks:
+    @pytest.mark.parametrize("edits, error, line_no, words", BLOCK_CASES.values(), ids=BLOCK_CASES)
+    def test_first_bad_line_raises_its_error(self, tmp_path, kind, edits, error, line_no, words):
+        lines = region_file_lines(kind)
+        # the first block holds the data rows at lines 2..4097; every edit is in the second
+        assert all(4097 < number < len(lines) for number in edits)
+        for number, edit in edits.items():
+            if isinstance(edit, dict):
+                edit = edit_field(lines[number - 1], **edit)
+            lines[number - 1] = edit
+        path = write(tmp_path, f"{kind}.csv", "\n".join(lines) + "\n")
+        with pytest.raises(error) as err:
+            LOADERS[kind](path, AgeAxis(100))
+        field = "count" if kind == "population" else "p"
+        assert type(err.value) is error
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"{path}:{line_no}: {words.format(field=field)}"
+
+    def test_bad_row_before_unreadable_bytes_raises_first(self, tmp_path, kind):
+        lines = region_file_lines(kind)
+        lines[9] = edit_field(lines[9], value="x")
+        path = tmp_path / f"{kind}.csv"
+        text = "\n".join(lines[:4000]) + "\nR\xe9gion,F,0,1\n" + "\n".join(lines[4000:]) + "\n"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ParseError) as err:
+            LOADERS[kind](path, AgeAxis(100))
+        assert err.value.line_no == 10 and "is not a number" in str(err.value)
+
+    def test_blank_lines_in_every_block_load_like_none(self, tmp_path, kind):
+        lines = region_file_lines(kind)
+        plain = write(tmp_path, "plain.csv", "\n".join(lines) + "\n")
+        gappy = lines[:3] + [""] + lines[3:4500] + ["", ""] + lines[4500:]
+        spaced = write(tmp_path, "spaced.csv", "\n".join(gappy) + "\n\n")
+        assert LOADERS[kind](spaced, AgeAxis(100)) == LOADERS[kind](plain, AgeAxis(100))
+
+
+_REGION_CODE = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=6)
+_COUNT = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, 1e300]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+@st.composite
+def sparse_pyramids(draw):
+    axis = AgeAxis(draw(st.integers(1, 12)))
+    codes = draw(st.lists(_REGION_CODE, min_size=1, max_size=5, unique=True))
+    pyramids = {}
+    for code in codes:
+        keys = [(sex, age) for sex in Sex for age in axis.ages()]
+        present = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        cells = {key: draw(_COUNT) for key, keep in zip(keys, present) if keep}
+        pyramids[code] = AgePyramid(RegionId(code), 0, axis, cells)
+    return axis, pyramids
+
+
+@given(sparse_pyramids())
+@settings(max_examples=150, deadline=None)
+def test_population_round_trip_keeps_array_and_mask(tmp_path_factory, drawn):
+    axis, pyramids = drawn
+    root = tmp_path_factory.mktemp("roundtrip")
+    emit_population_csv(pyramids, root / "a.csv")
+    back = load_population_csv(root / "a.csv", axis)
+    assert sorted(back) == sorted(code for code, p in pyramids.items() if p.present.any())
+    for code, pyramid in back.items():
+        assert np.array_equal(pyramid.present, pyramids[code].present)
+        assert pyramid.array.tobytes() == pyramids[code].array.tobytes()
+    emit_population_csv(back, root / "b.csv")
+    assert (root / "b.csv").read_bytes() == (root / "a.csv").read_bytes()

@@ -469,3 +469,25 @@ class TestNationalDemand:
         annual_card_requirement_series(
             pyramid, survival, fert, flows, 60, IssuancePolicy.AT_AGE_ONE
         )
+
+    @pytest.mark.xfail(
+        raises=ConsistencyError,
+        strict=True,
+        reason="child links are booked as separately rounded yearly flows, so the integer "
+        "stock drifts from the real under-15 stock (ROADMAP item 1, at-birth drift)",
+    )
+    def test_at_birth_links_follow_the_real_stock(self):
+        # real under-15 stock 1.75; each year's 0.25 births round to no link
+        axis = AgeAxis(100)
+        region = RegionId("IN", RegionLevel.COUNTRY)
+        pop = dense_pyramid(region, 2011, axis, female={3: 2.0, 31: 1.0})
+        p = np.ones((2, axis.n_ages))
+        p[:, 0] = 0.0
+        p[Sex.FEMALE.row, 4] = 0.75
+        p[Sex.FEMALE.row, 5] = 0.0
+        p[:, axis.max_age] = 0.0
+        survival = SurvivalSchedule(
+            region, axis, {(sex, a): p[sex.row, a] for sex in Sex for a in axis.ages()}
+        )
+        fert = FertilityConfig.flat(0.25, 1.0, 1.0)
+        run_card_simulation(pop, survival, fert, [], 3, IssuancePolicy.AT_BIRTH)
