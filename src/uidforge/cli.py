@@ -13,7 +13,6 @@ occurred.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -82,7 +81,6 @@ class RunConfig:
         return self.options.get("base_year", 0)
 
 
-@functools.cache  # parse_args leaves a parser as it was, so one serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uidforge",

@@ -14,10 +14,11 @@ mapping views of it.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -97,13 +98,6 @@ def require_finite_nonnegative(name: str, value) -> None:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-@cache
-def _every_cell(n_ages: int) -> np.ndarray:
-    mask = np.ones((2, n_ages), dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 class Cells(Mapping):
     """Read-only (sex, age) -> value mapping over a float64 ``(2, n_ages)``
     ``array`` and its ``present`` mask (default: every cell); absent cells
@@ -114,11 +108,8 @@ class Cells(Mapping):
     __slots__ = ("array", "present", "off_axis")
 
     def __init__(self, array: np.ndarray, present: np.ndarray | None = None, off_axis=None):
-        if present is None:
-            present = _every_cell(array.shape[1])
-        else:
-            present.flags.writeable = False
-        array.flags.writeable = False
+        present = np.ones(array.shape, dtype=bool) if present is None else present
+        array.flags.writeable = present.flags.writeable = False
         self.array, self.present, self.off_axis = array, present, off_axis or {}
 
     @classmethod
@@ -127,7 +118,7 @@ class Cells(Mapping):
         array, present = np.zeros((2, axis.n_ages)), np.zeros((2, axis.n_ages), dtype=bool)
         off_axis = {}
         for (sex, age), v in dict(cells).items():
-            if not isinstance(v, (int, float)):
+            if not isinstance(v, numbers.Real):  # numpy scalars included
                 raise DomainError(f"cell ({sex.value}, {age}) = {v!r} is not a number")
             if age in range(axis.n_ages):
                 array[sex.row, age], present[sex.row, age] = v, True

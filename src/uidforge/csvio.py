@@ -59,7 +59,7 @@ def _table(path, *headers: list[str]):
     """
     rows = _header_then_rows(path, headers)
     header = next(rows)
-    return header, _checked(path, header, 2, rows)
+    return header, _checked(path, header, rows)
 
 
 def _header_then_rows(path, headers):
@@ -79,11 +79,8 @@ def _header_then_rows(path, headers):
         raise ParseError(path, 0, f"cannot read file: {exc}") from exc
 
 
-def _checked(path, header, first_line, rows):
-    """``(line_no, stripped fields)`` of raw ``rows`` numbered from
-    ``first_line``, blank rows skipped; a row of the wrong width is a
-    ParseError at its line."""
-    for line_no, row in enumerate(rows, start=first_line):
+def _checked(path, header, rows):
+    for line_no, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(header):
@@ -121,68 +118,58 @@ def _parse_sex(path, line_no, text) -> Sex:
 
 def _region_cells(path, header: list[str], axis: AgeAxis) -> dict:
     """Read a ``region,sex,age,<value>`` file into region code ->
-    :class:`Cells`, in first-seen order; all are views of one
-    ``(R, 2, n_ages)`` float64 array and its presence mask. A block of
-    rows that fails a column check (:func:`_block_cells`) is read again
-    row by row (:func:`_row_cells`), so its first bad line raises."""
+    :class:`Cells`, in first-seen order, all views of one
+    ``(R, 2, n_ages)`` float64 array and its presence mask. A file that
+    the column reader turns down is read again by the row reader, which
+    raises at its first bad line or reads a file in a form the column
+    reader does not take (blank lines, blanks around a field)."""
+    try:
+        read = _column_keys(path, header, axis)
+    except (ParseError, ValueError, KeyError):
+        read = None
+    slots, keys, values = read or _row_keys(path, header, axis)
+    shape = (len(slots), 2, axis.n_ages)
+    array, present = np.zeros(shape), np.zeros(shape, dtype=bool)
+    array.flat[keys], present.flat[keys] = values, True
+    return {code: Cells(array[r], present[r]) for code, r in slots.items()}
+
+
+def _column_keys(path, header: list[str], axis: AgeAxis):
+    """Region slots, flat ``(slot, sex row, age)`` keys and values of a
+    file read as columns, a block of rows at a time. Every row must have
+    four fields, a region code without surrounding blanks, a sex of M or
+    F, an age written as one of the axis's ages and a finite non-negative
+    number, and no key may repeat; else ValueError or KeyError."""
     rows = _header_then_rows(path, [header])
     next(rows)
-    slots: dict[str, int] = {}
-    values, present = np.zeros(0), np.zeros(0, dtype=bool)
-    for first_line in itertools.count(2, _BLOCK):
-        block = []
-        try:
-            block.extend(itertools.islice(rows, _BLOCK))
-        except ParseError:  # extend keeps the rows read before the error; they go first
-            _row_cells(path, header, axis, first_line, block, slots, present)
-            raise
-        if not block:
-            break
-        cells = _block_cells(block, axis, slots, present)
-        if cells is None:
-            cells = _row_cells(path, header, axis, first_line, block, slots, present)
-        if (size := 2 * axis.n_ages * len(slots)) > values.size:  # at least double
-            values, present = np.pad(values, (0, size)), np.pad(present, (0, size))
-        values[cells[0]], present[cells[0]] = cells[1], True
-    shape = (len(slots), 2, axis.n_ages)
-    values = values[: math.prod(shape)].reshape(shape)
-    present = present[: values.size].reshape(shape)
-    return {code: Cells(values[r], present[r]) for code, r in slots.items()}
-
-
-def _block_cells(block, axis: AgeAxis, slots: dict, present: np.ndarray):
-    """Flat ``(region slot, sex row, age)`` keys and the values of a block
-    of raw rows, each with four fields, a region code without surrounding
-    blanks, a sex of M or F, an age written as one of the axis's ages, a
-    finite non-negative number and a key not ``present`` nor repeated;
-    None if a row fails. The block's new region codes get slots."""
-    try:
-        regions, sexes, ages, values = zip(*block, strict=True)
-        age_of = {str(age): age for age in axis.ages()}
-        age = np.fromiter(map(age_of.__getitem__, ages), np.intp, len(block))
+    age_of = {str(age): age for age in axis.ages()}
+    slots, keys, values = {}, [np.zeros(0, np.intp)], [np.zeros(0)]
+    while block := list(itertools.islice(rows, _BLOCK)):
+        regions, sexes, ages, texts = zip(*block, strict=True)
+        for code in dict.fromkeys(regions):
+            if not code or code != code.strip():
+                raise ValueError(f"region code {code!r}")
+            slots.setdefault(code, len(slots))
+        slot = np.fromiter(map(slots.__getitem__, regions), np.intp, len(block))
         sex = np.fromiter(map(_SEX_ROW.__getitem__, sexes), np.intp, len(block))
-        value = np.fromiter(map(float, values), float, len(block))
-    except (ValueError, KeyError):
-        return None
-    codes = dict.fromkeys(regions)
-    finite = (value >= 0) & (value < math.inf)
-    if not (finite.all() and all(c and c == c.strip() for c in codes)):
-        return None
-    for code in codes:
-        slots.setdefault(code, len(slots))
-    slot = np.fromiter(map(slots.__getitem__, regions), np.intp, len(block))
-    keys = (2 * slot + sex) * axis.n_ages + age
-    if present[keys[keys < present.size]].any() or not np.diff(np.sort(keys)).all():
-        return None
-    return keys, value
+        age = np.fromiter(map(age_of.__getitem__, ages), np.intp, len(block))
+        keys.append((2 * slot + sex) * axis.n_ages + age)
+        values.append(np.fromiter(map(float, texts), float, len(block)))
+        if not ((values[-1] >= 0) & (values[-1] < math.inf)).all():
+            raise ValueError("a value is negative or not finite")
+    keys = np.concatenate(keys)
+    if not np.diff(np.sort(keys)).all():
+        raise ValueError("a key repeats")
+    return slots, keys, np.concatenate(values)
 
 
-def _row_cells(path, header, axis, first_line, block, slots, present):
-    """:func:`_block_cells` row by row: the block's keys and values, or
-    the error of its first bad line (an empty region, a bad sex, an age
-    off ``axis``, a duplicate key, a bad, negative or non-finite value)."""
-    cells = {}
-    rows = _checked(path, header, first_line, block)
+def _row_keys(path, header: list[str], axis: AgeAxis):
+    """:func:`_column_keys` row by row, rejecting at its line an empty
+    region, a bad sex, an age off ``axis``, a negative or non-finite
+    value and a duplicate key."""
+    _, rows = _table(path, header)
+    slots: dict[str, int] = {}
+    cells: dict[int, float] = {}
     for line_no, (region, sex_txt, age_txt, value_txt) in rows:
         if not region:
             raise ParseError(path, line_no, "region code is empty")
@@ -191,10 +178,11 @@ def _row_cells(path, header, axis, first_line, block, slots, present):
         if not axis.contains(age):
             raise ParseError(path, line_no, f"age {age} outside axis 0..{axis.max_age}")
         key = (2 * slots.setdefault(region, len(slots)) + sex.row) * axis.n_ages + age
-        if key in cells or (key < present.size and present[key]):
+        if key in cells:
             raise DataError(path, line_no, f"duplicate key ({region}, {sex.value}, {age})")
         cells[key] = _parse_float(path, line_no, header[-1], value_txt)
-    return np.fromiter(cells, np.intp, len(cells)), np.fromiter(cells.values(), float, len(cells))
+    keys = np.fromiter(cells, np.intp, len(cells))
+    return slots, keys, np.fromiter(cells.values(), float, len(cells))
 
 
 def load_population_csv(

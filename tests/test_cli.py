@@ -2,10 +2,7 @@ import contextlib
 import csv
 import io
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 from dataclasses import astuple
 from pathlib import Path
@@ -15,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uidforge import DomainError, RegionId, RegionLevel, StateRates, counts_from_rates
-from uidforge import cli
 from uidforge.cli import RunConfig, main
 
 
@@ -73,10 +69,6 @@ def write_observations(path):
         "year,count,exposure\n2012,4,1.0\n2013,6,1.0\n", encoding="utf-8"
     )
     return path
-
-
-def file_bytes(root: Path) -> dict:
-    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def assert_one_line_error(capsys, command):
@@ -532,38 +524,6 @@ class TestConfigFile:
             for line in (out2 / "projection.csv").read_text().splitlines()[1:]
         }
         assert years2 == {"2011", "2012"}
-
-    def test_runs_in_one_process_match_runs_in_separate_processes(self, inputs, tmp_path):
-        # the config holds values that would change demand.csv if they leaked
-        cfg = tmp_path / "coverage.cfg"
-        cfg.write_text(
-            f"population={inputs['population']}\nomission=25\nmax-age=60\n"
-            "base-year=1999\neligible-proportion=0.5\npolicy=full\n",
-            encoding="utf-8",
-        )
-        demand = [
-            "demand",
-            "--population", str(inputs["population"]),
-            "--survival", str(inputs["survival"]),
-            "--fertility", str(inputs["fertility"]),
-            "--flows", str(inputs["flows"]),
-            "--horizon", "4", "--sex-ratio", "1.05", "--max-age", "60",
-        ]
-        runs = [(demand, "d1"), (["coverage", "--config", str(cfg)], "c"), (demand, "d2")]
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        for argv, name in runs:
-            assert main([*argv, "--out", str(tmp_path / "one" / name)]) == 0
-            separate = [*argv, "--out", str(tmp_path / "each" / name)]
-            subprocess.run([sys.executable, "-m", "uidforge.cli", *separate], env=env, check=True)
-        assert cli._build_parser() is cli._build_parser()
-        one, each = file_bytes(tmp_path / "one"), file_bytes(tmp_path / "each")
-        assert sorted(one) == [
-            Path("c/adjusted_population.csv"),
-            Path("d1/demand.csv"), Path("d1/demand.svg"),
-            Path("d2/demand.csv"), Path("d2/demand.svg"),
-        ]
-        assert one == each
-        assert one[Path("d1/demand.csv")] == one[Path("d2/demand.csv")]
 
 
 # ---------------------------------------------------------------- fuzz

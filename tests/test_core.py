@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,6 +297,11 @@ class TestPyramidBasics:
     def test_non_number_cell_rejected(self, region):
         with pytest.raises(DomainError, match="not a number"):
             AgePyramid(region, 2011, AgeAxis(3), {(Sex.MALE, 1): "5"})
+
+    def test_numpy_scalar_cells_accepted(self, region):
+        cells = {(Sex.MALE, 1): np.float32(0.5), (Sex.FEMALE, 2): np.int64(3)}
+        pyr = AgePyramid(region, 2011, AgeAxis(3), cells)
+        assert pyr.count(Sex.MALE, 1) == 0.5 and pyr.count(Sex.FEMALE, 2) == 3.0
 
     def test_counts_are_immutable(self, region):
         axis = AgeAxis(2)

@@ -22,6 +22,8 @@ from uidforge import (
     StateFlows,
 )
 from uidforge.csvio import (
+    _column_keys,
+    _row_keys,
     emit_demand_csv,
     emit_population_csv,
     load_fertility_csv,
@@ -420,6 +422,20 @@ class TestRegionCellsAcrossBlocks:
         gappy = lines[:3] + [""] + lines[3:4500] + ["", ""] + lines[4500:]
         spaced = write(tmp_path, "spaced.csv", "\n".join(gappy) + "\n\n")
         assert LOADERS[kind](spaced, AgeAxis(100)) == LOADERS[kind](plain, AgeAxis(100))
+
+    def test_column_reader_matches_row_reader_or_turns_the_file_down(self, tmp_path, kind):
+        header, *rows = region_file_lines(kind)
+        rows = rows[202:4500] + rows[:202] + rows[4500:]  # R00 comes after block one
+        plain = write(tmp_path, "plain.csv", "\n".join([header, *rows]) + "\n")
+        axis, header = AgeAxis(100), header.split(",")
+        slots, keys, values = _column_keys(plain, header, axis)
+        row_slots, row_keys, row_values = _row_keys(plain, header, axis)
+        assert list(slots.items()) == list(row_slots.items())
+        assert list(slots) == list(dict.fromkeys(row.split(",")[0] for row in rows))
+        assert np.array_equal(keys, row_keys) and values.tobytes() == row_values.tobytes()
+        padded = write(tmp_path, "padded.csv", "\n".join([",".join(header), *rows[:9], "R00 ,F,0,1"]))
+        with pytest.raises(ValueError):
+            _column_keys(padded, header, axis)
 
 
 _REGION_CODE = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=6)
