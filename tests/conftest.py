@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from uidforge import AgeAxis, AgePyramid, RegionId, RegionLevel, Sex, SurvivalSchedule
@@ -26,6 +28,14 @@ def region():
 @pytest.fixture
 def unit_survival(region, axis):
     return SurvivalSchedule.flat(region, axis, 1.0)
+
+
+@pytest.fixture(autouse=True)
+def no_child_processes_left():
+    """Fail a test that leaves a child process alive, such as a
+    projection formatting worker that was never reaped."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def pytest_runtest_logreport(report):

@@ -415,6 +415,17 @@ class TestCoverageCommand:
         assert not (inputs["out"] / "adjusted_population.csv").exists()
 
 
+    def test_region_code_that_cannot_be_written_back_fails_at_its_line(self, tmp_path, capsys):
+        population = tmp_path / "quoted.csv"
+        population.write_text('region,sex,age,count\n"A,B",F,0,1\n', encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["coverage", "--population", str(population), "--max-age", "3", "--out", str(out)])
+        assert code == 1
+        err = assert_one_line_error(capsys, "coverage")
+        assert f"{population}:2: region code 'A,B'" in err
+        assert not (out / "adjusted_population.csv").exists()
+
+
 class TestEstimateCommand:
     def estimate_args(self, tmp_path, out, *extra):
         obs = write_observations(tmp_path / "obs.csv")

@@ -1,5 +1,7 @@
+import multiprocessing
 import string
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +19,18 @@ from uidforge import (
     InsufficientDataError,
     ParseError,
     RegionId,
+    ProjectionSeries,
     RegionLevel,
     Sex,
     StateFlows,
 )
+from uidforge import csvio
 from uidforge.csvio import (
     _column_keys,
     _row_keys,
     emit_demand_csv,
     emit_population_csv,
+    emit_projection_csv,
     load_fertility_csv,
     load_flows_csv,
     load_observations_csv,
@@ -436,6 +441,43 @@ class TestRegionCellsAcrossBlocks:
         padded = write(tmp_path, "padded.csv", "\n".join([",".join(header), *rows[:9], "R00 ,F,0,1"]))
         with pytest.raises(ValueError):
             _column_keys(padded, header, axis)
+        # a code that the writers, which print codes unquoted, could not write back
+        for n, code in enumerate(['"A,B"', '"A""B"', '"A\rB"', '"A\nB"']):
+            unwritable = write(tmp_path, f"code{n}.csv", "\n".join([",".join(header), *rows[:9], f"{code},F,0,1"]))
+            with pytest.raises(ValueError):
+                _column_keys(unwritable, header, axis)
+            with pytest.raises(ParseError, match="comma, quote or line break") as err:
+                _row_keys(unwritable, header, axis)
+            assert err.value.line_no == 11
+
+
+def projections(n_regions, horizon, axis=AgeAxis(100)):
+    rng = np.random.default_rng(7)
+    for r in range(n_regions):
+        counts = rng.random((horizon + 1, 2, axis.n_ages)) * 1e5
+        yield f"R{r}", ProjectionSeries(RegionId(f"R{r}"), 2011, axis, counts)
+
+
+class TestProjectionWriter:
+    def test_regions_larger_than_a_pipe_buffer_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # 201 frames: each region is 0.3 MB as floats and about 1 MB as text
+        written = []
+        for workers in (1, 2):
+            monkeypatch.setattr(csvio, "_usable_cpus", lambda: workers)
+            emit_projection_csv(projections(5, 200), tmp_path / f"w{workers}.csv")
+            written.append((tmp_path / f"w{workers}.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_failed_write_reaps_the_workers_at_once(self, tmp_path, monkeypatch):
+        if not Path("/dev/full").exists():
+            pytest.skip("needs /dev/full")
+        (tmp_path / "full.csv").symlink_to("/dev/full")
+        monkeypatch.setattr(csvio, "_usable_cpus", lambda: 2)
+        with pytest.raises(ParseError, match="No space") as err:
+            emit_projection_csv(projections(9, 20), tmp_path / "full.csv")
+        assert err.traceback  # the traceback, and the frames it holds, are still alive
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "full.csv").is_symlink()
 
 
 _REGION_CODE = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=6)
