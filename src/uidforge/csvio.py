@@ -374,15 +374,18 @@ def _usable_cpus() -> int:
 def _region_texts(regions):
     """The rows of each region in ``regions``, in order. With two or more
     usable CPUs, two or more regions and the ``fork`` start method, one
-    forked worker per CPU formats them; else this process does."""
+    forked worker per CPU formats them; else, or while other threads run
+    (a forked child would inherit their locks in whatever state), this
+    process does."""
     regions = iter(regions)
     head = list(itertools.islice(regions, 2))
     regions = itertools.chain(head, regions)
     workers = _usable_cpus()
     if workers > 1 and len(head) > 1:
         import multiprocessing  # here, not at the top: it costs every command ~13 ms to import
+        import threading
 
-        if "fork" in multiprocessing.get_all_start_methods():
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
             yield from _forked_texts(multiprocessing.get_context("fork"), workers, regions)
             return
     for region in regions:

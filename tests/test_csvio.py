@@ -1,5 +1,8 @@
+import contextlib
 import multiprocessing
+import signal
 import string
+import threading
 from functools import partial
 from pathlib import Path
 
@@ -458,15 +461,49 @@ def projections(n_regions, horizon, axis=AgeAxis(100)):
         yield f"R{r}", ProjectionSeries(RegionId(f"R{r}"), 2011, axis, counts)
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds``, so that a
+    deadlock fails the test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestProjectionWriter:
     def test_regions_larger_than_a_pipe_buffer_write_the_same_bytes(self, tmp_path, monkeypatch):
         # 201 frames: each region is 0.3 MB as floats and about 1 MB as text
         written = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(csvio, "_usable_cpus", lambda: workers)
-            emit_projection_csv(projections(5, 200), tmp_path / f"w{workers}.csv")
+            with time_limit(60):
+                emit_projection_csv(projections(5, 200), tmp_path / f"w{workers}.csv")
             written.append((tmp_path / f"w{workers}.csv").read_bytes())
-        assert written[0] == written[1]
+        assert written[1] == written[0] and written[2] == written[0]
+
+    def test_other_threads_keep_the_formatting_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(csvio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(csvio, "_forked_texts", None)  # calling it would raise
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            emit_projection_csv(projections(3, 2), tmp_path / "threads.csv")
+        finally:
+            release.set()
+            waiter.join(10)
+        assert not waiter.is_alive()
+        monkeypatch.setattr(csvio, "_usable_cpus", lambda: 1)
+        emit_projection_csv(projections(3, 2), tmp_path / "one.csv")
+        assert (tmp_path / "threads.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     def test_failed_write_reaps_the_workers_at_once(self, tmp_path, monkeypatch):
         if not Path("/dev/full").exists():
