@@ -414,7 +414,6 @@ class TestCoverageCommand:
         assert "nan.csv:42:" in err and "not finite" in err
         assert not (inputs["out"] / "adjusted_population.csv").exists()
 
-
     def test_region_code_that_cannot_be_written_back_fails_at_its_line(self, tmp_path, capsys):
         population = tmp_path / "quoted.csv"
         population.write_text('region,sex,age,count\n"A,B",F,0,1\n', encoding="utf-8")
