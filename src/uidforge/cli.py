@@ -2,12 +2,12 @@
 
 Four subcommands: ``project`` (population projection), ``demand``
 (annual card requirement series plus chart), ``coverage`` (census count
-corrections) and ``estimate`` (posterior demand intensity). Options are
-flags-first; ``--config FILE`` supplies key=value defaults that flags
-override, and UIDFORGE_SEED is the seed fallback. Each command resolves
-its options into a RunConfig before touching any file. Diagnostics go
-to stderr, data only to files; the exit code is 0 iff no error
-occurred.
+corrections) and ``estimate`` (posterior demand intensity). Every option
+is declared once, in ``_OPTIONS``. Options are flags-first; ``--config
+FILE`` supplies key=value defaults that flags override, and
+UIDFORGE_SEED is ``estimate``'s seed fallback. Each command resolves its
+options into a RunConfig before touching any file. Diagnostics go to
+stderr, data only to files; the exit code is 0 iff no error occurred.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,43 +42,100 @@ from .projection import project_population
 
 SEED_ENV_VAR = "UIDFORGE_SEED"
 
-_POLICIES = {
-    "at-birth": IssuancePolicy.AT_BIRTH,
-    "at-age-one": IssuancePolicy.AT_AGE_ONE,
-    "full": IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH,
-}
-
 
 @dataclass
 class RunConfig:
-    """A fully resolved run: the command, its numeric knobs, the input
-    paths it will read and the directory it will write."""
+    """A fully resolved run: the command and the parsed value of every
+    option it takes, keyed by the option's name in ``_OPTIONS``."""
 
     command: str
-    horizon: int = 0
-    seed: int = 0
-    issuance_policy: IssuancePolicy = IssuancePolicy.AT_BIRTH
-    inputs: dict = field(default_factory=dict)
-    out_dir: Path = Path(".")
-    options: dict = field(default_factory=dict)
+    values: dict
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise DomainError(f"horizon must be >= 0, got {self.horizon}")
-        for name, path in self.inputs.items():
-            if not str(path):
-                raise DomainError(f"--{name.replace('_', '-')} path is empty")
-
-    def input_path(self, name: str) -> Path:
-        return Path(self.inputs[name])
+        horizon = self.values.get("horizon", 0)
+        if horizon < 0:
+            raise DomainError(f"horizon must be >= 0, got {horizon}")
 
     @property
     def axis(self) -> AgeAxis:
-        return AgeAxis(self.options.get("max_age", 100))
+        return AgeAxis(self.values["max_age"])
 
-    @property
-    def base_year(self) -> int:
-        return self.options.get("base_year", 0)
+
+def _as_int(flag: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"--{flag} must be an integer, got {value!r}") from None
+
+
+def _as_float(flag: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"--{flag} must be a number, got {value!r}") from None
+
+
+def _as_path(flag: str, value) -> Path:
+    if not value:
+        raise DomainError(f"--{flag} path is empty")
+    return Path(value)
+
+
+def _as_policy(flag: str, value) -> IssuancePolicy:
+    try:
+        return IssuancePolicy(value)
+    except ValueError:
+        names = sorted(policy.value for policy in IssuancePolicy)
+        raise DomainError(f"--{flag} must be one of {names}, got {value!r}") from None
+
+
+_REQUIRED = object()
+_PROJECTING = ("project", "demand")
+_ALL = ("project", "demand", "coverage", "estimate")
+
+#: option name -> (commands that take it, parse function, default or
+#: _REQUIRED, help text or command -> help text). The flag is the name
+#: with ``-`` for ``_``. Options resolve in this order, so the first
+#: faulty one is the one reported.
+_OPTIONS = {
+    "population": (
+        ("project", "demand", "coverage"),
+        _as_path,
+        _REQUIRED,
+        "population CSV (region,sex,age,count)",
+    ),
+    "survival": (_PROJECTING, _as_path, _REQUIRED, "survival CSV (region,sex,age,p)"),
+    "fertility": (_PROJECTING, _as_path, _REQUIRED, "fertility CSV (age,rate)"),
+    "flows": (("demand",), _as_path, _REQUIRED, "flows CSV (rate or count schema)"),
+    "observations": (("estimate",), _as_path, _REQUIRED, "observations CSV (year,count,exposure)"),
+    "unknown_age": (("coverage",), _as_path, None, "unknown-age CSV (sex,count)"),
+    "max_age": (_ALL, _as_int, 100, "last age of life (default 100)"),
+    "base_year": (_ALL, _as_int, 0, "year label of the input pyramid (default 0)"),
+    "sex_ratio": (_PROJECTING, _as_float, _REQUIRED, "male births per female birth"),
+    "eligible_proportion": (_PROJECTING, _as_float, 1.0, "eligible fraction of women (default 1)"),
+    "infant_mortality": (_PROJECTING, _as_float, 0.0, "deaths per 1000 live births (default 0)"),
+    "omission": (("coverage",), _as_float, 0.0, "net omission per 1000 (default 0)"),
+    "prior_shape": (("estimate",), _as_float, _REQUIRED, "Gamma prior shape"),
+    "prior_rate": (("estimate",), _as_float, _REQUIRED, "Gamma prior rate"),
+    "samples": (("estimate",), _as_int, _REQUIRED, "number of MCMC samples"),
+    "proposal_scale": (
+        ("estimate",), _as_float, 0.5, "random-walk scale on log beta (default 0.5)"
+    ),
+    "horizon": (
+        _PROJECTING,
+        _as_int,
+        _REQUIRED,
+        {"project": "years to project", "demand": "years to forecast"},
+    ),
+    "seed": (("estimate",), _as_int, 0, f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)"),
+    "policy": (
+        ("demand",),
+        _as_policy,
+        IssuancePolicy.AT_BIRTH,
+        "at-birth | at-age-one | full (default at-birth)",
+    ),
+    "out": (_ALL, _as_path, _REQUIRED, "output directory"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,51 +144,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Demographic projection and identity-card demand forecasting",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, command_help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="key=value file with defaults for any flag")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--max-age", help="last age of life (default 100)")
-        p.add_argument("--base-year", help="year label of the input pyramid (default 0)")
-
-    def fertility_knobs(p):
-        p.add_argument("--sex-ratio", help="male births per female birth")
-        p.add_argument("--eligible-proportion", help="eligible fraction of women (default 1)")
-        p.add_argument("--infant-mortality", help="deaths per 1000 live births (default 0)")
-
-    p = sub.add_parser("project", help="project a population forward")
-    common(p)
-    p.add_argument("--population", help="population CSV (region,sex,age,count)")
-    p.add_argument("--survival", help="survival CSV (region,sex,age,p)")
-    p.add_argument("--fertility", help="fertility CSV (age,rate)")
-    p.add_argument("--horizon", help="years to project")
-    fertility_knobs(p)
-
-    p = sub.add_parser("demand", help="annual card requirement series")
-    common(p)
-    p.add_argument("--population", help="population CSV (region,sex,age,count)")
-    p.add_argument("--survival", help="survival CSV (region,sex,age,p)")
-    p.add_argument("--fertility", help="fertility CSV (age,rate)")
-    p.add_argument("--flows", help="flows CSV (rate or count schema)")
-    p.add_argument("--policy", help="at-birth | at-age-one | full (default at-birth)")
-    p.add_argument("--horizon", help="years to forecast")
-    fertility_knobs(p)
-
-    p = sub.add_parser("coverage", help="correct raw census counts")
-    common(p)
-    p.add_argument("--population", help="population CSV (region,sex,age,count)")
-    p.add_argument("--omission", help="net omission per 1000 (default 0)")
-    p.add_argument("--unknown-age", help="unknown-age CSV (sex,count)")
-
-    p = sub.add_parser("estimate", help="posterior demand intensity via MCMC")
-    common(p)
-    p.add_argument("--observations", help="observations CSV (year,count,exposure)")
-    p.add_argument("--prior-shape", help="Gamma prior shape")
-    p.add_argument("--prior-rate", help="Gamma prior rate")
-    p.add_argument("--samples", help="number of MCMC samples")
-    p.add_argument("--seed", help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
-    p.add_argument("--proposal-scale", help="random-walk scale on log beta (default 0.5)")
-
+        for name, (commands, _, _, text) in _OPTIONS.items():
+            if command in commands:
+                text = text if isinstance(text, str) else text[command]
+                p.add_argument("--" + name.replace("_", "-"), help=text)
     return parser
 
 
@@ -147,124 +166,49 @@ def _load_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise DomainError(f"{path}:{i}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = key.replace("-", "_")
+        if name not in _OPTIONS:
+            raise DomainError(f"{path}:{i}: unknown option {key!r}")
+        values[name] = value
     return values
 
 
-def _resolve(args, key: str, default=None, required=False):
-    """Flag value if given, else config-file value, else default."""
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in args._config_values:
-        return args._config_values[key]
-    if required and default is None:
-        raise DomainError(f"missing required option --{key.replace('_', '-')}")
-    return default
-
-
-def _as_int(name: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"--{name} must be an integer, got {value!r}") from None
-
-
-def _as_float(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"--{name} must be a number, got {value!r}") from None
-
-
-def _resolve_seed(args) -> int:
-    explicit = _resolve(args, "seed")
-    if explicit is not None:
-        return _as_int("seed", explicit)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return _as_int("seed", env)
-    return 0
-
-
-def _resolve_policy(args) -> IssuancePolicy:
-    name = _resolve(args, "policy", "at-birth")
-    if name not in _POLICIES:
-        raise DomainError(f"--policy must be one of {sorted(_POLICIES)}, got {name!r}")
-    return _POLICIES[name]
-
-
-_REQUIRED_INPUTS = {
-    "project": ("population", "survival", "fertility"),
-    "demand": ("population", "survival", "fertility", "flows"),
-    "coverage": ("population",),
-    "estimate": ("observations",),
-}
-
-
-def _run_config(args, command: str) -> RunConfig:
-    inputs = {
-        name: _resolve(args, name, required=True) for name in _REQUIRED_INPUTS[command]
-    }
-    if command == "coverage":
-        unknown = _resolve(args, "unknown_age")
-        if unknown:
-            inputs["unknown_age"] = unknown
-
-    options = {
-        "max_age": _as_int("max-age", _resolve(args, "max_age", 100)),
-        "base_year": _as_int("base-year", _resolve(args, "base_year", 0)),
-    }
-    if command in ("project", "demand"):
-        options["sex_ratio"] = _as_float("sex-ratio", _resolve(args, "sex_ratio", required=True))
-        options["eligible_proportion"] = _as_float(
-            "eligible-proportion", _resolve(args, "eligible_proportion", 1.0)
-        )
-        options["infant_mortality"] = _as_float(
-            "infant-mortality", _resolve(args, "infant_mortality", 0.0)
-        )
-    if command == "coverage":
-        options["omission"] = _as_float("omission", _resolve(args, "omission", 0.0))
-    if command == "estimate":
-        options["prior_shape"] = _as_float(
-            "prior-shape", _resolve(args, "prior_shape", required=True)
-        )
-        options["prior_rate"] = _as_float(
-            "prior-rate", _resolve(args, "prior_rate", required=True)
-        )
-        options["samples"] = _as_int("samples", _resolve(args, "samples", required=True))
-        options["proposal_scale"] = _as_float(
-            "proposal-scale", _resolve(args, "proposal_scale", 0.5)
-        )
-
-    horizon = 0
-    if command in ("project", "demand"):
-        horizon = _as_int("horizon", _resolve(args, "horizon", required=True))
-
-    return RunConfig(
-        command=command,
-        horizon=horizon,
-        seed=_resolve_seed(args),
-        issuance_policy=_resolve_policy(args) if command == "demand" else IssuancePolicy.AT_BIRTH,
-        inputs=inputs,
-        out_dir=Path(_resolve(args, "out", required=True)),
-        options=options,
-    )
+def _run_config(args) -> RunConfig:
+    """Each option ``args.command`` takes: its flag, else its config-file
+    value, else (``seed`` only) $UIDFORGE_SEED, else its default."""
+    config = _load_config_file(args.config) if args.config else {}
+    values = {}
+    for name, (commands, parse, default, _) in _OPTIONS.items():
+        if args.command not in commands:
+            continue
+        flag = name.replace("_", "-")
+        raw = getattr(args, name)
+        if raw is None:
+            raw = config.get(name)
+        if raw is None and name == "seed":
+            raw = os.environ.get(SEED_ENV_VAR)
+        if raw is not None:
+            values[name] = parse(flag, raw)
+        elif default is _REQUIRED:
+            raise DomainError(f"missing required option --{flag}")
+        else:
+            values[name] = default
+    return RunConfig(args.command, values)
 
 
 def _load_projection_inputs(cfg: RunConfig):
-    axis = cfg.axis
-    pyramids = load_population_csv(cfg.input_path("population"), axis, cfg.base_year)
+    v, axis = cfg.values, cfg.axis
+    pyramids = load_population_csv(v["population"], axis, v["base_year"])
     if not pyramids:
         raise DomainError("population file contains no data rows")
-    schedules = load_survival_csv(cfg.input_path("survival"), axis)
-    rates = load_fertility_csv(cfg.input_path("fertility"))
+    schedules = load_survival_csv(v["survival"], axis)
+    rates = load_fertility_csv(v["fertility"])
     fert = FertilityConfig(
         rates,
-        eligible_proportion=cfg.options["eligible_proportion"],
-        sex_ratio_at_birth=cfg.options["sex_ratio"],
-        infant_mortality=cfg.options["infant_mortality"],
+        eligible_proportion=v["eligible_proportion"],
+        sex_ratio_at_birth=v["sex_ratio"],
+        infant_mortality=v["infant_mortality"],
     )
     return pyramids, schedules, fert
 
@@ -280,20 +224,22 @@ def _schedule_for(region_code: str, schedules: dict):
 
 
 def _ensure_out_dir(cfg: RunConfig) -> Path:
+    out = cfg.values["out"]
     try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise DomainError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
-    return cfg.out_dir
+        raise DomainError(f"cannot create output directory {out}: {exc}") from exc
+    return out
 
 
 def _cmd_project(cfg: RunConfig) -> int:
     pyramids, schedules, fert = _load_projection_inputs(cfg)
     regions = [(code, _schedule_for(code, schedules)) for code in sorted(pyramids)]
     out = _ensure_out_dir(cfg)
+    horizon = cfg.values["horizon"]
     emit_projection_csv(
         (
-            (code, project_population(pyramids[code].densified(), schedule, fert, cfg.horizon))
+            (code, project_population(pyramids[code].densified(), schedule, fert, horizon))
             for code, schedule in regions
         ),
         out / "projection.csv",
@@ -308,14 +254,14 @@ def _cmd_demand(cfg: RunConfig) -> int:
             f"demand needs a single-region population file, got {sorted(pyramids)}"
         )
     code, pyramid = next(iter(pyramids.items()))
-    flows = load_flows_csv(cfg.input_path("flows"))
+    flows = load_flows_csv(cfg.values["flows"])
     series = annual_card_requirement_series(
         pyramid.densified(),
         _schedule_for(code, schedules),
         fert,
         flows,
-        cfg.horizon,
-        cfg.issuance_policy,
+        cfg.values["horizon"],
+        cfg.values["policy"],
     )
     out = _ensure_out_dir(cfg)
     emit_demand_csv(series, out / "demand.csv")
@@ -327,17 +273,12 @@ def _cmd_demand(cfg: RunConfig) -> int:
 
 
 def _cmd_coverage(cfg: RunConfig) -> int:
-    pyramids = load_population_csv(cfg.input_path("population"), cfg.axis, cfg.base_year)
-    unknowns = (
-        load_unknown_age_csv(cfg.input_path("unknown_age"))
-        if "unknown_age" in cfg.inputs
-        else {}
-    )
+    v = cfg.values
+    pyramids = load_population_csv(v["population"], cfg.axis, v["base_year"])
+    unknowns = load_unknown_age_csv(v["unknown_age"]) if v["unknown_age"] else {}
     if unknowns and len(pyramids) != 1:
         raise DomainError("unknown-age allocation needs a single-region population file")
-    coverage_cfg = CoverageConfig(
-        omission_per_1000=cfg.options["omission"], unknown_age_counts=unknowns
-    )
+    coverage_cfg = CoverageConfig(omission_per_1000=v["omission"], unknown_age_counts=unknowns)
     adjusted = {}
     for code, pyramid in pyramids.items():
         fixed = apply_omission_adjustment(pyramid, coverage_cfg)
@@ -350,33 +291,30 @@ def _cmd_coverage(cfg: RunConfig) -> int:
 
 
 def _cmd_estimate(cfg: RunConfig) -> int:
-    observations = load_observations_csv(cfg.input_path("observations"))
-    prior = PriorSpec(shape=cfg.options["prior_shape"], rate=cfg.options["prior_rate"])
-    chain = metropolis_sample(
-        observations, prior, cfg.options["samples"], cfg.seed, cfg.options["proposal_scale"]
-    )
+    v = cfg.values
+    observations = load_observations_csv(v["observations"])
+    prior = PriorSpec(shape=v["prior_shape"], rate=v["prior_rate"])
+    chain = metropolis_sample(observations, prior, v["samples"], v["seed"], v["proposal_scale"])
     emit_posterior_csv(summarize_chain(chain), chain, _ensure_out_dir(cfg) / "posterior.csv")
     return 0
 
 
+#: command -> (function, help)
 _COMMANDS = {
-    "project": _cmd_project,
-    "demand": _cmd_demand,
-    "coverage": _cmd_coverage,
-    "estimate": _cmd_estimate,
+    "project": (_cmd_project, "project a population forward"),
+    "demand": (_cmd_demand, "annual card requirement series"),
+    "coverage": (_cmd_coverage, "correct raw census counts"),
+    "estimate": (_cmd_estimate, "posterior demand intensity via MCMC"),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config_path = getattr(args, "config", None)
-        args._config_values = _load_config_file(config_path) if config_path else {}
-        cfg = _run_config(args, args.command)
+        cfg = _run_config(args)
         # an overflow is reported once, by the writer or check that rejects its result
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](cfg)
+            return _COMMANDS[args.command][0](cfg)
     except UidforgeError as exc:
         print(f"uidforge {args.command}: error: {exc}", file=sys.stderr)
         return 1

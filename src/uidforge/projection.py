@@ -162,6 +162,10 @@ def project_births(
 
     Requires a female count cell (possibly zero) at every reproductive
     age 15..49; a missing cell is a data error, not an implicit zero.
+    The ``project`` and ``demand`` commands densify each pyramid first,
+    so there a missing cell, reproductive ages included, counts as 0;
+    the check still applies to library callers, and to those commands
+    when ``--max-age`` ends before 49.
     """
     _check_axes(pop, survival)
     _check_reproductive_cells(pop)

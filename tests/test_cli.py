@@ -12,22 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uidforge import DomainError, RegionId, RegionLevel, StateRates, counts_from_rates
-from uidforge.cli import RunConfig, main
+from uidforge.cli import _OPTIONS, RunConfig, _as_path, _build_parser, _run_config, main
 
 
 class TestRunConfig:
     def test_negative_horizon_rejected(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="project", horizon=-1)
+        with pytest.raises(DomainError, match="horizon must be >= 0"):
+            RunConfig("project", {"max_age": 100, "horizon": -1})
 
-    def test_empty_input_path_rejected(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="demand", inputs={"population": ""})
-
-    def test_axis_and_base_year_come_from_options(self):
-        cfg = RunConfig(command="project", options={"max_age": 60, "base_year": 2011})
-        assert cfg.axis.max_age == 60
-        assert cfg.base_year == 2011
+    def test_axis_comes_from_max_age(self):
+        assert RunConfig("project", {"max_age": 60}).axis.max_age == 60
 
 
 def write_population(path, region="IN", max_age=60, female=None, male=None):
@@ -93,6 +87,52 @@ def inputs(tmp_path):
         "flows": write_flows(tmp_path / "flows.csv"),
         "out": tmp_path / "out",
     }
+
+
+@pytest.fixture
+def flag_values(inputs, tmp_path):
+    """command -> {option name: flag value}, every option the command
+    takes, for a run that succeeds."""
+    unknown = tmp_path / "unknown.csv"
+    unknown.write_text("sex,count\nF,170\n", encoding="utf-8")
+    common = {"max_age": "60", "base_year": "2011", "out": str(inputs["out"])}
+    projecting = {
+        **{name: str(inputs[name]) for name in ("population", "survival", "fertility")},
+        "horizon": "2",
+        "sex_ratio": "1.05",
+        "eligible_proportion": "0.9",
+        "infant_mortality": "5",
+        **common,
+    }
+    return {
+        "project": projecting,
+        "demand": {**projecting, "flows": str(inputs["flows"]), "policy": "full"},
+        "coverage": {
+            "population": str(inputs["population"]),
+            "unknown_age": str(unknown),
+            "omission": "20",
+            **common,
+        },
+        "estimate": {
+            "observations": str(write_observations(tmp_path / "obs.csv")),
+            "prior_shape": "1",
+            "prior_rate": "1",
+            "samples": "2000",
+            "seed": "3",
+            "proposal_scale": "0.4",
+            **common,
+        },
+    }
+
+
+def as_argv(command, values):
+    return [command] + [
+        arg for name, value in values.items() for arg in (f"--{name.replace('_', '-')}", value)
+    ]
+
+
+def run_config(argv):
+    return _run_config(_build_parser().parse_args(argv))
 
 
 class TestProjectCommand:
@@ -424,6 +464,20 @@ class TestCoverageCommand:
         assert f"{population}:2: region code 'A,B'" in err
         assert not (out / "adjusted_population.csv").exists()
 
+    def test_seed_sources_are_ignored(self, flag_values, tmp_path, monkeypatch):
+        # coverage takes no seed: a bad $UIDFORGE_SEED or config seed must not fail it
+        values = flag_values["coverage"]
+        assert main(as_argv("coverage", values)) == 0
+        expected = (Path(values["out"]) / "adjusted_population.csv").read_bytes()
+        config = tmp_path / "seed.cfg"
+        config.write_text("seed=x\n", encoding="utf-8")
+        monkeypatch.setenv("UIDFORGE_SEED", "abc")
+        for i, extra in enumerate(([], ["--config", str(config)])):
+            out = tmp_path / f"seeded{i}"
+            argv = as_argv("coverage", {**values, "out": str(out)}) + extra
+            assert main(argv) == 0
+            assert (out / "adjusted_population.csv").read_bytes() == expected
+
 
 class TestEstimateCommand:
     def estimate_args(self, tmp_path, out, *extra):
@@ -465,6 +519,14 @@ class TestEstimateCommand:
         monkeypatch.delenv("UIDFORGE_SEED")
         assert main(self.estimate_args(tmp_path, out_b, "--seed", "2")) == 0
         assert (out_a / "posterior.csv").read_bytes() == (out_b / "posterior.csv").read_bytes()
+
+    def test_bad_env_seed_fails_in_one_line(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        monkeypatch.setenv("UIDFORGE_SEED", "abc")
+        assert main(self.estimate_args(tmp_path, out)) == 1
+        err = assert_one_line_error(capsys, "estimate")
+        assert "--seed must be an integer, got 'abc'" in err
+        assert not (out / "posterior.csv").exists()
 
     @pytest.mark.parametrize(
         "extra",
@@ -534,6 +596,74 @@ class TestConfigFile:
             for line in (out2 / "projection.csv").read_text().splitlines()[1:]
         }
         assert years2 == {"2011", "2012"}
+
+    def test_unknown_key_rejected(self, flag_values, tmp_path, capsys):
+        config = tmp_path / "typo.cfg"
+        config.write_text("# coverage\nomision=25\n", encoding="utf-8")
+        argv = as_argv("coverage", flag_values["coverage"]) + ["--config", str(config)]
+        assert main(argv) == 1
+        err = assert_one_line_error(capsys, "coverage")
+        assert err.endswith(f"{config}:2: unknown option 'omision'\n")
+        assert not (Path(flag_values["coverage"]["out"]) / "adjusted_population.csv").exists()
+
+    def test_one_file_serves_project_and_demand(self, flag_values, tmp_path):
+        # flows and policy name options of demand only; project accepts them
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "".join(f"{name}={value}\n" for name, value in flag_values["demand"].items()),
+            encoding="utf-8",
+        )
+        for command, output in (("project", "projection.csv"), ("demand", "demand.csv")):
+            out = tmp_path / command
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            assert (out / output).exists()
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("sep", ["-", "_"])
+    @pytest.mark.parametrize("command", ["project", "demand", "coverage", "estimate"])
+    def test_flag_and_config_key_give_equal_values(self, flag_values, tmp_path, command, sep):
+        values = flag_values[command]
+        assert set(values) == {name for name, row in _OPTIONS.items() if command in row[0]}
+        by_flag = run_config(as_argv(command, values)).values
+        assert set(by_flag) == set(values)
+        config = tmp_path / "one.cfg"
+        for name, value in values.items():
+            config.write_text(f"{name.replace('_', sep)} = {value}\n", encoding="utf-8")
+            rest = {key: v for key, v in values.items() if key != name}
+            by_key = run_config(as_argv(command, rest) + ["--config", str(config)]).values
+            assert by_key == by_flag, name
+
+    @pytest.mark.parametrize(
+        "command, n_flags", [("project", 11), ("demand", 13), ("coverage", 7), ("estimate", 10)]
+    )
+    def test_help_lists_the_commands_flags(self, capsys, monkeypatch, command, n_flags):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        rows = {name: row for name, row in _OPTIONS.items() if command in row[0]}
+        flags = {"--" + name.replace("_", "-") for name in rows}
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == flags | {"--help", "--config"}
+        assert len(flags) + 1 == n_flags
+        for name, (_, _, _, text) in rows.items():
+            assert (text if isinstance(text, str) else text[command]) in out, name
+
+    @pytest.mark.parametrize(
+        "option", [name for name, row in _OPTIONS.items() if row[1] is _as_path]
+    )
+    def test_empty_path_rejected(self, flag_values, tmp_path, monkeypatch, capsys, option):
+        # an empty --out used to write into the working directory
+        command = _OPTIONS[option][0][0]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(as_argv(command, {**flag_values[command], option: ""})) == 1
+        err = assert_one_line_error(capsys, command)
+        assert err.endswith(f"--{option.replace('_', '-')} path is empty\n")
+        assert list(cwd.iterdir()) == []
+        assert not Path(flag_values[command]["out"]).exists()
 
 
 # ---------------------------------------------------------------- fuzz
