@@ -5,8 +5,9 @@ Library layout:
 - :mod:`uidforge.core` — age axis, regions, pyramids, survival and
   fertility schedules.
 - :mod:`uidforge.projection` — births, cohort survival, projection loop.
-- :mod:`uidforge.ledger` — macro/micro card-flow models, the age-15
-  re-issuance procedure, card returns and the annual demand series.
+- :mod:`uidforge.ledger` — macro/micro card-flow models and the card
+  simulation (age-15 transition, card returns) behind the annual demand
+  series.
 - :mod:`uidforge.coverage` — census coverage corrections.
 - :mod:`uidforge.bayes` — posterior demand intensity (Metropolis sampler
   plus conjugate closed form).
@@ -75,7 +76,7 @@ from .projection import (
     BirthCount,
     ProjectionSeries,
     age_group_survivors,
-    apply_infant_survival,
+    deaths_by_age,
     project_births,
     project_population,
     survive_cohorts,

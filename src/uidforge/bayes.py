@@ -85,29 +85,6 @@ class ChainSummary:
     interval: tuple
 
 
-def _reduced_params(
-    data: Sequence[DemandObservation], prior: PriorSpec
-) -> tuple[float, float, float]:
-    """Collapse the Poisson likelihood into (effective shape, effective
-    rate, additive constant): the log posterior is
-    (shape_eff - 1) * log(beta) - rate_eff * beta + const."""
-    shape_eff = prior.shape + sum(obs.count for obs in data)
-    rate_eff = prior.rate + sum(obs.exposure for obs in data)
-    const = sum(obs.count * math.log(obs.exposure) for obs in data)
-    return shape_eff, rate_eff, const
-
-
-def log_posterior_unnormalized(
-    beta: float, data: Sequence[DemandObservation], prior: PriorSpec
-) -> float:
-    """Log of prior times likelihood at ``beta``, up to an additive
-    constant independent of beta."""
-    if not beta > 0:
-        raise DomainError(f"beta must be > 0, got {beta!r}")
-    shape_eff, rate_eff, const = _reduced_params(data, prior)
-    return (shape_eff - 1.0) * math.log(beta) - rate_eff * beta + const
-
-
 def conjugate_posterior(
     data: Sequence[DemandObservation], prior: PriorSpec
 ) -> tuple[float, float]:
@@ -116,6 +93,20 @@ def conjugate_posterior(
     shape = prior.shape + sum(obs.count for obs in data)
     rate = prior.rate + sum(obs.exposure for obs in data)
     return shape, rate
+
+
+def log_posterior_unnormalized(
+    beta: float, data: Sequence[DemandObservation], prior: PriorSpec
+) -> float:
+    """Log of prior times likelihood at ``beta``, up to an additive
+    constant independent of beta: the Poisson likelihood collapses onto
+    the conjugate parameters, (shape' - 1) * log(beta) - rate' * beta
+    plus a constant."""
+    if not beta > 0:
+        raise DomainError(f"beta must be > 0, got {beta!r}")
+    shape_eff, rate_eff = conjugate_posterior(data, prior)
+    const = sum(obs.count * math.log(obs.exposure) for obs in data)
+    return (shape_eff - 1.0) * math.log(beta) - rate_eff * beta + const
 
 
 def metropolis_sample(
@@ -138,7 +129,7 @@ def metropolis_sample(
     if not (math.isfinite(proposal_scale) and proposal_scale > 0):
         raise DomainError(f"proposal_scale must be finite and > 0, got {proposal_scale}")
 
-    shape_eff, rate_eff, _ = _reduced_params(data, prior)
+    shape_eff, rate_eff = conjugate_posterior(data, prior)
 
     def log_target(theta: float) -> float:
         # log posterior at exp(theta) plus the log-space Jacobian term;

@@ -177,7 +177,7 @@ def _load_config_file(path) -> dict:
 def _run_config(args) -> RunConfig:
     """Each option ``args.command`` takes: its flag, else its config-file
     value, else (``seed`` only) $UIDFORGE_SEED, else its default."""
-    config = _load_config_file(args.config) if args.config else {}
+    config = {} if args.config is None else _load_config_file(_as_path("config", args.config))
     values = {}
     for name, (commands, parse, default, _) in _OPTIONS.items():
         if args.command not in commands:

@@ -1,6 +1,10 @@
 """Card-flow accounting: macro (rate x population) and micro (event
-count) models of annual card change, the age-15 re-issuance procedure,
-death-driven card returns, and the annual new-card requirement series.
+count) models of annual card change, and the card simulation behind the
+annual new-card requirement series. The simulation takes one state's
+deaths from :func:`~uidforge.projection.deaths_by_age` and runs two
+steps a year on its integer ledger: :func:`age15_transition` turns child
+links into cards, and :func:`process_card_returns` books the cards
+returned and the links released.
 
 Modeling note inherited from the source formulas: an interstate mover
 counts as new-card demand in the receiving state (re-registration), so
@@ -11,9 +15,9 @@ on the return side alongside international migration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,11 +30,11 @@ from .core import (
     require_finite_nonnegative,
 )
 from .errors import ConsistencyError, DomainError
-from .projection import death_counts, project_population
+from .projection import deaths_by_age, project_population
 
-# The projection's pyramid-level functions stay importable from this
-# module too: perfbench's traced runs wrap them here (spans.WRAP_POINTS).
-from .projection import deaths_by_age, project_births, survive_cohorts  # noqa: F401
+# Not called here: perfbench's traced runs wrap these two at this
+# module's names (spans.WRAP_POINTS), so they stay importable from it.
+from .projection import project_births, survive_cohorts  # noqa: F401
 
 #: Age at which a child linkage becomes a card of its own.
 CARD_AGE = 15
@@ -95,12 +99,13 @@ def _require_finite_nonnegative_fields(record):
 
 @dataclass(frozen=True)
 class CardLedger:
-    """Running card inventory for one state.
+    """Card inventory of one state at the end of ``year``.
 
-    ``active_cards`` is decremented as returns are processed during the
-    year; ``issued_this_year`` accumulates separately and is folded into
-    the inventory at the end of the year. ``child_links`` counts persons
-    under 15 linked to a parent or guardian number.
+    ``issued_this_year`` and ``returned_this_year`` are the year's
+    rounded flows, so ``active_cards`` is the previous snapshot's plus
+    issued minus returned; a starting snapshot has no flows.
+    ``child_links`` counts persons under 15 linked to a parent or
+    guardian number.
     """
 
     state: RegionId
@@ -230,9 +235,10 @@ def _round_half_even(x: float) -> int:
     return int(round(x))
 
 
-def _age15_cards(new_cards: float, child_links: int) -> int:
-    """This year's age-15 cards, rounded half to even; each one uses up
-    a child link."""
+def age15_transition(new_cards: float, child_links: int) -> int:
+    """Cards issued at 15 this year: the 14-year-olds' survivors
+    ``new_cards``, rounded half to even. Each card uses up the child
+    link it replaces, so the ledger must hold that many links."""
     rounded = _round_half_even(new_cards)
     if child_links - rounded < 0:
         raise ConsistencyError(
@@ -241,32 +247,15 @@ def _age15_cards(new_cards: float, child_links: int) -> int:
     return rounded
 
 
-def age15_transition(
-    pop: AgePyramid, survival: SurvivalSchedule, ledger: CardLedger
-) -> tuple[float, CardLedger]:
-    """Convert this year's 14-to-15 survivors from child linkages into
-    newly issued cards.
-
-    Returns the expected number of new cards plus the updated ledger;
-    the same people are never counted twice (their linkage is removed as
-    the card is issued).
-    """
-    new_cards = sum(
-        pop.count(sex, CARD_AGE - 1) * survival.prob(sex, CARD_AGE - 1) for sex in Sex
-    )
-    rounded = _age15_cards(new_cards, ledger.child_links)
-    return new_cards, replace(
-        ledger,
-        child_links=ledger.child_links - rounded,
-        issued_this_year=ledger.issued_this_year + rounded,
-    )
-
-
-def _card_returns(
+def process_card_returns(
     returned: float, released: float, active_cards: int, child_links: int
 ) -> tuple[int, int]:
-    """The physical cards ``returned`` and the child links ``released``,
-    both rounded half to even; the ledger must hold them."""
+    """One year's card returns: the physical cards ``returned`` (deaths
+    of card holders plus out-migrants) and the child links ``released``
+    (deaths of children who hold none), both rounded half to even. The
+    ledger must hold them."""
+    if returned < 0 or released < 0:
+        raise DomainError(f"returns must be >= 0, got {returned!r} cards, {released!r} links")
     returns = _round_half_even(returned)
     child_returns = _round_half_even(released)
     if active_cards - returns < 0:
@@ -278,42 +267,6 @@ def _card_returns(
             f"cannot release {child_returns} child links, ledger has {child_links}"
         )
     return returns, child_returns
-
-
-def process_card_returns(
-    deaths_by_age: Mapping,
-    emigrants: float,
-    ledger: CardLedger,
-    children_hold_cards: bool = False,
-) -> CardLedger:
-    """Apply one year of card returns to the ledger.
-
-    Deaths at ages 15 and up and emigrants return physical cards
-    (active inventory down, returns up). Deaths below 15 release the
-    parent linkage instead; no physical card moves — unless
-    ``children_hold_cards`` (the card-at-birth policy), in which case
-    every death returns a card.
-    """
-    if emigrants < 0:
-        raise DomainError("emigrant count must be >= 0")
-    adult = 0.0
-    child = 0.0
-    for (sex, age), n in deaths_by_age.items():
-        if n < 0:
-            raise DomainError(f"death count for ({sex.value}, {age}) must be >= 0")
-        if age >= CARD_AGE or children_hold_cards:
-            adult += n
-        else:
-            child += n
-    returns, child_returns = _card_returns(
-        adult + emigrants, child, ledger.active_cards, ledger.child_links
-    )
-    return replace(
-        ledger,
-        active_cards=ledger.active_cards - returns,
-        returned_this_year=ledger.returned_this_year + returns,
-        child_links=ledger.child_links - child_returns,
-    )
 
 
 def run_card_simulation(
@@ -357,7 +310,7 @@ def run_card_simulation(
     series = project_population(pop, survival, fert, horizon)
     s = survival.array
     frames, newborn = series.counts[:-1], series.counts[1:, :, 0]
-    deaths = death_counts(frames, s)
+    deaths = deaths_by_age(frames, s)
     if cards_at_birth:
         returned = deaths.sum(axis=(1, 2)) + outflow
         released = np.zeros(horizon)
@@ -373,9 +326,9 @@ def run_card_simulation(
     years = range(pop.time_label + 1, pop.time_label + horizon + 1)
     steps = zip(years, newborn.tolist(), age15.tolist(), returned.tolist(), released.tolist())
     for year, born, at15, out_cards, out_links in steps:
-        issued = _age15_cards(at15[male] + at15[female], links)
+        issued = age15_transition(at15[male] + at15[female], links)
         links -= issued
-        returns, links_released = _card_returns(out_cards, out_links, active, links)
+        returns, links_released = process_card_returns(out_cards, out_links, active, links)
         active -= returns
         links -= links_released
         rows.append(

@@ -24,8 +24,9 @@ functions: :func:`project_population` steps each year with
 :func:`project_births` and :func:`survive_cohorts` on pyramids whose
 counts read straight from the array
 (:meth:`~uidforge.core.AgePyramid.from_array`), and the card ledger
-consumes its frames. Cells are validated where data enters (the CSV
-loaders, :func:`~uidforge.core.validate_pyramid`), not re-checked here.
+takes the deaths of all its frames at once from :func:`deaths_by_age`.
+Cells are validated where data enters (the CSV loaders,
+:func:`~uidforge.core.validate_pyramid`), not re-checked here.
 A :class:`ProjectionSeries` keeps all frames in one
 ``(horizon + 1, 2, n_ages)`` array and builds :class:`AgePyramid`
 frames only when asked.
@@ -41,7 +42,6 @@ import numpy as np
 from .core import (
     REPRODUCTIVE_AGE_MAX,
     REPRODUCTIVE_AGE_MIN,
-    SEX_ROWS,
     AgeAxis,
     AgePyramid,
     FertilityConfig,
@@ -129,9 +129,10 @@ def _check_reproductive_cells(pop: AgePyramid):
         raise DomainError(f"pyramid lacks female counts at reproductive ages {missing}")
 
 
-def death_counts(counts: np.ndarray, survival: np.ndarray) -> np.ndarray:
+def deaths_by_age(counts: np.ndarray, survival: np.ndarray) -> np.ndarray:
     """Expected deaths during one year by sex and age at the start of the
-    year, for counts of shape ``(..., 2, n_ages)``."""
+    year, ``counts * (1 - survival)``, for counts of shape
+    ``(..., 2, n_ages)`` and a ``(2, n_ages)`` survival array."""
     return counts * (1.0 - survival)
 
 
@@ -170,17 +171,6 @@ def project_births(
     _check_axes(pop, survival)
     _check_reproductive_cells(pop)
     return _births(pop.array, survival.array, fert)
-
-
-def apply_infant_survival(births: BirthCount, fert: FertilityConfig) -> BirthCount:
-    """Scale births down to the children who complete their first year.
-
-    Used only when cards are issued at age one rather than at birth; the
-    projection loop itself never removes infants.
-    """
-    male = births.sex_count(Sex.MALE) * fert.infant_survival
-    female = births.sex_count(Sex.FEMALE) * fert.infant_survival
-    return BirthCount(male + female, {Sex.MALE: male, Sex.FEMALE: female})
 
 
 def survive_cohorts(
@@ -263,13 +253,3 @@ def project_population(
         frame = AgePyramid._over(pop.region, pop.time_label + k, pop.axis, counts[k])
     return ProjectionSeries(pop.region, pop.time_label, pop.axis, counts)
 
-
-def deaths_by_age(pop: AgePyramid, survival: SurvivalSchedule) -> dict:
-    """Expected deaths during one year as a (sex, age-at-start) mapping
-    over the pyramid's nonzero cells."""
-    _check_axes(pop, survival)
-    deaths = death_counts(pop.array, survival.array)
-    rows, ages = np.nonzero(pop.array)
-    return {
-        (SEX_ROWS[r], a): deaths[r, a].item() for r, a in zip(rows.tolist(), ages.tolist())
-    }

@@ -606,6 +606,14 @@ class TestConfigFile:
         assert err.endswith(f"{config}:2: unknown option 'omision'\n")
         assert not (Path(flag_values["coverage"]["out"]) / "adjusted_population.csv").exists()
 
+    @pytest.mark.parametrize("command", ["project", "demand", "coverage", "estimate"])
+    def test_empty_config_path_rejected(self, flag_values, capsys, command):
+        # an empty --config used to be read as no config file at all
+        assert main(as_argv(command, flag_values[command]) + ["--config", ""]) == 1
+        err = assert_one_line_error(capsys, command)
+        assert err.endswith("--config path is empty\n")
+        assert not Path(flag_values[command]["out"]).exists()
+
     def test_one_file_serves_project_and_demand(self, flag_values, tmp_path):
         # flows and policy name options of demand only; project accepts them
         config = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from uidforge import (
     process_card_returns,
     run_card_simulation,
 )
+from uidforge import ledger as ledger_module
 from uidforge.csvio import emit_demand_csv
 from uidforge.ledger import micro_state_contribution
 from conftest import dense_pyramid
@@ -183,79 +185,46 @@ class TestCardLedger:
 
 
 class TestAge15Transition:
-    def test_no_fourteen_year_olds(self, region, axis, unit_survival):
-        pop = dense_pyramid(region, 2011, axis)
-        ledger = CardLedger(state(), 2011, active_cards=100, child_links=50)
-        new_cards, updated = age15_transition(pop, unit_survival, ledger)
-        assert new_cards == 0.0
-        assert updated == ledger
+    def test_no_fourteen_year_olds(self):
+        assert age15_transition(0.0, 50) == 0
 
-    def test_hand_value_with_survival(self, region, axis):
-        # 1000 * 0.998 new cards
-        sched = SurvivalSchedule.flat(region, axis, 0.998)
-        pop = dense_pyramid(region, 2011, axis, male={14: 1000.0})
-        ledger = CardLedger(state(), 2011, active_cards=0, child_links=1000)
-        new_cards, updated = age15_transition(pop, sched, ledger)
-        assert new_cards == pytest.approx(998.0, rel=1e-12)
-        assert updated.child_links == 2
-        assert updated.issued_this_year == 998
+    def test_hand_value_with_survival(self):
+        # 1000 fourteen-year-olds at survival 0.998
+        assert age15_transition(1000.0 * 0.998, 1000) == 998
 
-    def test_identity_survival_moves_all_links(self, region, axis, unit_survival):
-        pop = dense_pyramid(region, 2011, axis, male={14: 300.0}, female={14: 200.0})
-        ledger = CardLedger(state(), 2011, active_cards=0, child_links=500)
-        new_cards, updated = age15_transition(pop, unit_survival, ledger)
-        assert new_cards == 500.0
-        assert updated.child_links == 0
-        assert updated.issued_this_year == 500
+    def test_rounds_half_to_even(self):
+        assert age15_transition(2.5, 10) == 2
+        assert age15_transition(3.5, 10) == 4
 
-    def test_insufficient_links_is_consistency_error(self, region, axis, unit_survival):
-        pop = dense_pyramid(region, 2011, axis, male={14: 300.0})
-        ledger = CardLedger(state(), 2011, active_cards=0, child_links=100)
-        with pytest.raises(ConsistencyError):
-            age15_transition(pop, unit_survival, ledger)
+    def test_insufficient_links_is_consistency_error(self):
+        assert age15_transition(300.0, 300) == 300
+        with pytest.raises(ConsistencyError, match="needs 300 child links, ledger has 100"):
+            age15_transition(300.0, 100)
+
+    def test_non_finite_count_rejected(self):
+        with pytest.raises(DomainError):
+            age15_transition(math.nan, 10)
 
 
 class TestProcessCardReturns:
     def test_noop(self):
-        ledger = CardLedger(state(), 2011, active_cards=100, child_links=10)
-        assert process_card_returns({}, 0, ledger) == ledger
+        assert process_card_returns(0.0, 0.0, 100, 10) == (0, 0)
 
-    def test_adult_deaths_and_emigrants(self):
-        ledger = CardLedger(state(), 2011, active_cards=100, child_links=10)
-        updated = process_card_returns({(Sex.MALE, 40): 10.0}, 5.0, ledger)
-        assert updated.active_cards == 85
-        assert updated.returned_this_year == 15
-        assert updated.child_links == 10
-
-    def test_child_deaths_release_links_only(self):
-        ledger = CardLedger(state(), 2011, active_cards=100, child_links=10)
-        updated = process_card_returns({(Sex.FEMALE, 3): 7.0}, 0.0, ledger)
-        assert updated.active_cards == 100
-        assert updated.returned_this_year == 0
-        assert updated.child_links == 3
+    def test_rounds_half_to_even(self):
+        assert process_card_returns(2.5, 3.5, 100, 10) == (2, 4)
 
     def test_overdraw_is_consistency_error(self):
-        ledger = CardLedger(state(), 2011, active_cards=10)
-        with pytest.raises(ConsistencyError):
-            process_card_returns({(Sex.MALE, 40): 11.0}, 0.0, ledger)
-        with pytest.raises(ConsistencyError):
-            process_card_returns({(Sex.MALE, 2): 1.0}, 0.0, ledger)
-
-    def test_children_hold_cards_returns_child_cards(self):
-        ledger = CardLedger(state(), 2011, active_cards=100, child_links=0)
-        updated = process_card_returns(
-            {(Sex.FEMALE, 3): 7.0}, 0.0, ledger, children_hold_cards=True
-        )
-        assert updated.active_cards == 93
-        assert updated.returned_this_year == 7
-        assert updated.child_links == 0
+        assert process_card_returns(10.0, 1.0, 10, 1) == (10, 1)
+        with pytest.raises(ConsistencyError, match="cannot return 11 cards"):
+            process_card_returns(11.0, 0.0, 10, 0)
+        with pytest.raises(ConsistencyError, match="cannot release 1 child links"):
+            process_card_returns(0.0, 1.0, 10, 0)
 
     def test_negative_counts_rejected(self):
-        ledger = CardLedger(state(), 2011, active_cards=10)
         with pytest.raises(DomainError):
-            process_card_returns({(Sex.MALE, 40): -1.0}, 0.0, ledger)
+            process_card_returns(-1.0, 0.0, 10, 0)
         with pytest.raises(DomainError):
-            process_card_returns({}, -1.0, ledger)
+            process_card_returns(0.0, -1.0, 10, 10)
 
 
 class TestDemandSeries:
@@ -385,6 +354,47 @@ class TestCardSimulation:
         )
         # year 1: deaths 84 at 15+ and 4 + 4 at age 14, plus out-flow 13
         assert full.rows[0].returned_cards == pytest.approx(84.0 + 8.0 + 13.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "policy, start, after",
+        [
+            # adult deaths 10 plus emigrants 5 return cards; child deaths
+            # 7 release links only
+            (IssuancePolicy.AT_BIRTH, (100, 70), (85, 0, 15, 63)),
+            # every person holds a card: every death returns one
+            (IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH, (170, 0), (148, 0, 22, 0)),
+        ],
+    )
+    def test_deaths_and_emigrants_in_the_ledger(self, region, axis, policy, start, after):
+        pop = dense_pyramid(region, 2011, axis, female={3: 70.0}, male={40: 100.0})
+        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        flows = [count_flow("ST", 0, 0, 0, 0, 0, 5)]
+        _, ledgers = run_card_simulation(pop, sched, FertilityConfig({}, 1.0, 1.0), flows, 1, policy)
+        first, last = ledgers
+        assert (first.active_cards, first.child_links) == start
+        assert (
+            last.active_cards, last.issued_this_year, last.returned_this_year, last.child_links
+        ) == after
+
+    @pytest.mark.parametrize("policy", list(IssuancePolicy))
+    def test_runs_each_public_step(self, region, monkeypatch, policy):
+        # the steps a traced run wraps are the steps the simulation runs
+        calls = Counter()
+
+        def counted(name):
+            step = getattr(ledger_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return step(*args)
+
+            monkeypatch.setattr(ledger_module, name, wrapper)
+
+        for name in ("age15_transition", "process_card_returns", "deaths_by_age"):
+            counted(name)
+        pop, sched, fert, flows = toy_inputs(region)
+        run_card_simulation(pop, sched, fert, flows, 7, policy)
+        assert calls == {"age15_transition": 7, "process_card_returns": 7, "deaths_by_age": 1}
 
     def test_horizon_below_one_rejected(self, region):
         pop, sched, fert, flows = toy_inputs(region)

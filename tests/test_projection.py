@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from uidforge import (
     AgeAxis,
     AgePyramid,
-    BirthCount,
     DomainError,
     FertilityConfig,
     RegionId,
     Sex,
     SurvivalSchedule,
     age_group_survivors,
-    apply_infant_survival,
+    deaths_by_age,
     multi_year_survival,
     project_births,
     project_population,
@@ -84,24 +83,13 @@ class TestProjectBirths:
         ).total
 
 
-class TestApplyInfantSurvival:
+class TestInfantSurvival:
     def test_sixty_per_thousand(self):
-        births = BirthCount.split(1000.0, 0.5)
         fert = FertilityConfig.flat(0.1, 1.0, 1.0, infant_mortality=60.0)
-        survived = apply_infant_survival(births, fert)
-        assert survived.total == pytest.approx(940.0, rel=1e-12)
+        assert fert.infant_survival == pytest.approx(0.94, rel=1e-12)
 
     def test_zero_mortality_is_identity(self):
-        births = BirthCount.split(123.4, 0.52)
-        fert = FertilityConfig.flat(0.1, 1.0, 1.0, infant_mortality=0.0)
-        survived = apply_infant_survival(births, fert)
-        assert survived.total == births.total
-        assert survived.sex_count(Sex.MALE) == births.sex_count(Sex.MALE)
-
-    def test_five_hundred_births(self):
-        births = BirthCount.split(500.0, 0.5)
-        fert = FertilityConfig.flat(0.1, 1.0, 1.0, infant_mortality=60.0)
-        assert apply_infant_survival(births, fert).total == pytest.approx(470.0, rel=1e-12)
+        assert FertilityConfig.flat(0.1, 1.0, 1.0, infant_mortality=0.0).infant_survival == 1.0
 
 
 class TestSurviveCohorts:
@@ -326,19 +314,24 @@ class TestProjectPopulation:
 
 class TestDeathsByAge:
     def test_matches_survival_complement(self, region, axis):
-        from uidforge.projection import deaths_by_age
-
         sched = SurvivalSchedule.flat(region, axis, 0.96, 0.98)
         pop = dense_pyramid(region, 0, axis, female={20: 1000.0}, male={30: 500.0})
-        deaths = deaths_by_age(pop, sched)
-        assert deaths[(Sex.FEMALE, 20)] == pytest.approx(1000.0 * 0.02, rel=1e-12)
-        assert deaths[(Sex.MALE, 30)] == pytest.approx(500.0 * 0.04, rel=1e-12)
-        assert set(deaths) == {(Sex.FEMALE, 20), (Sex.MALE, 30)}
+        deaths = deaths_by_age(pop.array, sched.array)
+        assert deaths.shape == (2, axis.n_ages)
+        assert deaths[Sex.FEMALE.row, 20] == pytest.approx(1000.0 * 0.02, rel=1e-12)
+        assert deaths[Sex.MALE.row, 30] == pytest.approx(500.0 * 0.04, rel=1e-12)
+        assert np.count_nonzero(deaths) == 2
+        assert np.array_equal(deaths, pop.array * (1.0 - sched.array))
 
     def test_last_age_always_dies(self, region, axis):
-        from uidforge.projection import deaths_by_age
-
         sched = SurvivalSchedule.flat(region, axis, 1.0)
         pop = dense_pyramid(region, 0, axis, female={100: 42.0})
-        deaths = deaths_by_age(pop, sched)
-        assert deaths[(Sex.FEMALE, 100)] == 42.0
+        assert deaths_by_age(pop.array, sched.array)[Sex.FEMALE.row, 100] == 42.0
+
+    def test_stacked_frames_match_one_at_a_time(self, region, axis, fert_flat):
+        sched = SurvivalSchedule.flat(region, axis, 0.97, 0.99)
+        pop = dense_pyramid(region, 0, axis, female={a: 10.0 + a for a in range(60)})
+        frames = project_population(pop, sched, fert_flat, 4).counts
+        stacked = deaths_by_age(frames, sched.array)
+        for k, frame in enumerate(frames):
+            assert np.array_equal(stacked[k], deaths_by_age(frame, sched.array))
