@@ -73,7 +73,6 @@ from .ledger import (
     run_card_simulation,
 )
 from .projection import (
-    BirthCount,
     ProjectionSeries,
     age_group_survivors,
     deaths_by_age,

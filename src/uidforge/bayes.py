@@ -126,6 +126,8 @@ def metropolis_sample(
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(proposal_scale) and proposal_scale > 0):
         raise DomainError(f"proposal_scale must be finite and > 0, got {proposal_scale}")
 

@@ -318,6 +318,9 @@ def main(argv=None) -> int:
     except UidforgeError as exc:
         print(f"uidforge {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"uidforge {args.command}: error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

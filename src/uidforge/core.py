@@ -8,7 +8,8 @@ array of shape ``(2, n_ages)``, rows in :data:`SEX_ROWS` order, with a
 mask of the cells present (:class:`Cells`). The CSV loaders fill that
 array directly, the projection and coverage arithmetic run on it, and
 ``AgePyramid.counts`` / ``SurvivalSchedule.one_year`` are (sex, age)
-mapping views of it.
+mapping views of it. A mapping given to either constructor is copied
+into that array, and a cell off the axis is a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -101,45 +102,46 @@ def require_finite_nonnegative(name: str, value) -> None:
 class Cells(Mapping):
     """Read-only (sex, age) -> value mapping over a float64 ``(2, n_ages)``
     ``array`` and its ``present`` mask (default: every cell); absent cells
-    hold 0.0. Cells beyond the axis are kept apart in ``off_axis`` so that
-    :func:`validate_pyramid` can report them; no arithmetic reads them.
-    Keys run in (sex, age) order, F before M, then the off-axis keys."""
+    hold 0.0. Keys run in (sex, age) order, F before M."""
 
-    __slots__ = ("array", "present", "off_axis")
+    __slots__ = ("array", "present")
 
-    def __init__(self, array: np.ndarray, present: np.ndarray | None = None, off_axis=None):
+    def __init__(self, array: np.ndarray, present: np.ndarray | None = None):
         present = np.ones(array.shape, dtype=bool) if present is None else present
         array.flags.writeable = present.flags.writeable = False
-        self.array, self.present, self.off_axis = array, present, off_axis or {}
+        self.array, self.present = array, present
 
     @classmethod
     def of(cls, cells: Mapping, axis: AgeAxis) -> "Cells":
-        """Copy of a (sex, age) -> number mapping on ``axis``."""
+        """Copy of a (sex, age) -> number mapping on ``axis``; a cell off
+        the axis is a DomainError."""
         array, present = np.zeros((2, axis.n_ages)), np.zeros((2, axis.n_ages), dtype=bool)
-        off_axis = {}
         for (sex, age), v in dict(cells).items():
+            if not (isinstance(sex, Sex) and isinstance(age, numbers.Integral)):
+                raise DomainError(f"cell key {(sex, age)!r} is not a (Sex, integer age) pair")
             if not isinstance(v, numbers.Real):  # numpy scalars included
                 raise DomainError(f"cell ({sex.value}, {age}) = {v!r} is not a number")
-            if age in range(axis.n_ages):
-                array[sex.row, age], present[sex.row, age] = v, True
-            else:
-                off_axis[(sex, age)] = v
-        return cls(array, present, off_axis)
+            if age not in range(axis.n_ages):
+                raise DomainError(
+                    f"cell ({sex.value}, {age}) lies beyond the axis 0..{axis.max_age}"
+                )
+            age = int(age)  # a bool would index as a mask
+            array[sex.row, age], present[sex.row, age] = v, True
+        return cls(array, present)
 
     def __getitem__(self, key) -> float:
         sex, age = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
         if isinstance(sex, Sex) and age in range(self.array.shape[1]):
             if self.present.item(sex.row, int(age)):
                 return self.array.item(sex.row, int(age))
-        return self.off_axis[key]
+        raise KeyError(key)
 
     def __iter__(self):
         rows, ages = np.nonzero(self.present)
-        yield from zip(map(SEX_ROWS.__getitem__, rows.tolist()), ages.tolist())
-        yield from self.off_axis
+        return zip(map(SEX_ROWS.__getitem__, rows.tolist()), ages.tolist())
 
     def __len__(self) -> int:
-        return np.count_nonzero(self.present) + len(self.off_axis)
+        return np.count_nonzero(self.present)
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -153,9 +155,10 @@ class AgePyramid:
     Counts are expected-value reals, not integers; rounding happens only
     at report time. ``counts`` is a :class:`Cells` view of the read-only
     ``array`` and its ``present`` mask; a mapping given to the
-    constructor is copied into that form. The container is deliberately
-    permissive (sparse or even invalid cells are representable) so that
-    :func:`validate_pyramid` can report problems instead of the
+    constructor is copied into that form, and a cell off the axis is a
+    DomainError. Otherwise the container is deliberately permissive
+    (sparse cells and negative or non-finite counts are representable)
+    so that :func:`validate_pyramid` can report problems instead of the
     constructor hiding them. Missing cells read as 0.0 through
     :meth:`count`.
     """
@@ -172,7 +175,7 @@ class AgePyramid:
     @property
     def array(self) -> np.ndarray:
         """Counts as a read-only ``(2, n_ages)`` array; missing cells read
-        0.0 and cells beyond the axis are left out."""
+        0.0."""
         return self.counts.array
 
     @property
@@ -186,11 +189,6 @@ class AgePyramid:
     def has_cell(self, sex: Sex, age: int) -> bool:
         return (sex, age) in self.counts
 
-    @cached_property
-    def complete(self) -> bool:
-        """Whether every (sex, age) cell of the axis is present."""
-        return bool(self.present.all())
-
     def total(self, sex: Sex | None = None) -> float:
         """Sum of the present cells, added in (sex, age) order."""
         if sex is None:
@@ -203,11 +201,9 @@ class AgePyramid:
 
     def replace_counts(self, array: np.ndarray, present=None) -> "AgePyramid":
         """Copy over a float64 ``(2, n_ages)`` ``array`` that the caller
-        no longer writes, with ``present`` (default: this mask); cells
-        beyond the axis are carried as they are."""
+        no longer writes, with ``present`` (default: this mask)."""
         mask = self.present if present is None else present
-        cells = Cells(array, mask, self.counts.off_axis)
-        return AgePyramid(self.region, self.time_label, self.axis, cells)
+        return AgePyramid(self.region, self.time_label, self.axis, Cells(array, mask))
 
     @classmethod
     def from_array(
@@ -218,18 +214,7 @@ class AgePyramid:
             raise DomainError(
                 f"pyramid array must have shape (2, {axis.n_ages}), got {array.shape}"
             )
-        return cls._over(region, time_label, axis, np.array(array, dtype=float))
-
-    @classmethod
-    def _over(
-        cls, region: RegionId, time_label: int, axis: AgeAxis, cells: np.ndarray
-    ) -> "AgePyramid":
-        """:meth:`from_array` without the copy, for a float64 ``(2, n_ages)``
-        array that the caller owns and no longer writes; it is made
-        read-only."""
-        pyramid = cls(region, time_label, axis, Cells(cells))
-        object.__setattr__(pyramid, "complete", True)  # the projection loop reads it
-        return pyramid
+        return cls(region, time_label, axis, Cells(np.array(array, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -269,8 +254,6 @@ class SurvivalSchedule:
                 raise DomainError(
                     f"survival at last age of life ({self.axis.max_age}) must be 0"
                 )
-        for (sex, age) in cells.off_axis:
-            raise DomainError(f"survival schedule has age {age} beyond axis")
         object.__setattr__(self, "one_year", cells)
 
     @property
@@ -402,7 +385,8 @@ def validate_pyramid(pyramid: AgePyramid, axis: AgeAxis) -> list[str]:
 
     Returns an empty list iff the pyramid is valid: every (sex, age) cell
     for ages 0..max_age present, all counts finite and non-negative, and
-    no cells outside the axis.
+    no cells outside the axis. A pyramid's cells all lie on its own axis,
+    so a cell outside ``axis`` means the pyramid's axis is the longer.
     """
     problems: list[str] = []
     for (sex, age), v in pyramid.counts.items():

@@ -292,13 +292,14 @@ def load_unknown_age_csv(path) -> dict:
 
 def write_file(path, chunks: Iterable[str]):
     """Write the text ``chunks`` to ``path`` in order. ``chunks`` may be
-    a generator; a file left incomplete by an error is removed."""
+    a generator; a file left incomplete by any exception, an interrupt or
+    a ``MemoryError`` included, is removed."""
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
         try:
             with fh:
                 fh.writelines(chunks)
-        except (OSError, UidforgeError):
+        except BaseException:
             Path(path).unlink(missing_ok=True)
             raise
     except OSError as exc:
@@ -308,15 +309,12 @@ def write_file(path, chunks: Iterable[str]):
 def emit_population_csv(pyramids: Mapping, path):
     """Write pyramids back to the ``region,sex,age,count`` schema with
     round-trip-exact counts, one row per present cell, sorted by (region,
-    sex, age). A region with a non-finite count or a cell beyond the axis
-    is a DomainError."""
+    sex, age). A region with a non-finite count is a DomainError."""
     lines = [",".join(POPULATION_HEADER) + "\n"]
     for code in sorted(pyramids):
         pyramid = pyramids[code]
         if not np.isfinite(pyramid.array).all():
             raise DomainError(f"region {code}: a count is not finite")
-        if pyramid.counts.off_axis:
-            raise DomainError(f"region {code}: a cell lies beyond the age axis")
         for sex in SEX_ROWS:  # F before M, the order of the sex codes
             present, prefix = pyramid.present[sex.row], f"{code},{sex.value},"
             cells = zip(np.flatnonzero(present).tolist(), pyramid.array[sex.row, present].tolist())

@@ -21,10 +21,10 @@ model: the one-year step is a shifted multiply with births written into
 age 0, survival over a span is the left-to-right product of the one-year
 factors, and deaths are ``P * (1 - s)``. Every caller goes through these
 functions: :func:`project_population` steps each year with
-:func:`project_births` and :func:`survive_cohorts` on pyramids whose
-counts read straight from the array
-(:meth:`~uidforge.core.AgePyramid.from_array`), and the card ledger
-takes the deaths of all its frames at once from :func:`deaths_by_age`.
+:func:`project_births`, whose ``(2,)`` array of births by sex goes into
+age 0, and :func:`survive_cohorts`, on pyramids whose counts read
+straight from the array; the card ledger takes the deaths of all its
+frames at once from :func:`deaths_by_age`.
 Cells are validated where data enters (the CSV loaders,
 :func:`~uidforge.core.validate_pyramid`), not re-checked here.
 A :class:`ProjectionSeries` keeps all frames in one
@@ -35,7 +35,6 @@ frames only when asked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .core import (
     REPRODUCTIVE_AGE_MIN,
     AgeAxis,
     AgePyramid,
+    Cells,
     FertilityConfig,
     RegionId,
     Sex,
@@ -52,29 +52,6 @@ from .core import (
 from .errors import DomainError
 
 _BAND = slice(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)
-
-
-@dataclass(frozen=True)
-class BirthCount:
-    """Live births in one year, split by sex of the newborn."""
-
-    total: float
-    by_sex: Mapping
-
-    def __post_init__(self):
-        by_sex = dict(self.by_sex)
-        object.__setattr__(self, "by_sex", by_sex)
-        if self.total < 0 or any(n < 0 for n in by_sex.values()):
-            raise DomainError("birth counts must be non-negative")
-
-    def sex_count(self, sex: Sex) -> float:
-        return self.by_sex.get(sex, 0.0)
-
-    @classmethod
-    def split(cls, total: float, male_share: float) -> "BirthCount":
-        male = total * male_share
-        female = total - male
-        return cls(total, {Sex.MALE: male, Sex.FEMALE: female})
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +95,7 @@ def _check_axes(pop: AgePyramid, survival: SurvivalSchedule):
 
 
 def _check_reproductive_cells(pop: AgePyramid):
-    if pop.complete and pop.axis.max_age >= REPRODUCTIVE_AGE_MAX:
+    if pop.axis.max_age >= REPRODUCTIVE_AGE_MAX and pop.present[Sex.FEMALE.row, _BAND].all():
         return
     missing = [
         x
@@ -136,12 +113,14 @@ def deaths_by_age(counts: np.ndarray, survival: np.ndarray) -> np.ndarray:
     return counts * (1.0 - survival)
 
 
-def _births(counts: np.ndarray, survival: np.ndarray, fert: FertilityConfig) -> BirthCount:
-    """Births from ``(2, n_ages)`` counts and survival; the terms are
-    accumulated in age order, 15 first."""
+def _births(counts: np.ndarray, survival: np.ndarray, fert: FertilityConfig) -> np.ndarray:
+    """:func:`project_births` from ``(2, n_ages)`` counts and survival;
+    the terms are accumulated in age order, 15 first."""
     f = Sex.FEMALE.row
     terms = survival[f, _BAND] * counts[f, _BAND] * fert.band_rates * fert.eligible_proportion
-    return BirthCount.split(float(np.cumsum(terms)[-1]), fert.male_share)
+    total = float(np.cumsum(terms)[-1])
+    male = total * fert.male_share
+    return np.array([total - male, male])
 
 
 def _survive(counts: np.ndarray, survival: np.ndarray, span: int) -> np.ndarray:
@@ -158,8 +137,10 @@ def _survive(counts: np.ndarray, survival: np.ndarray, span: int) -> np.ndarray:
 
 def project_births(
     pop: AgePyramid, survival: SurvivalSchedule, fert: FertilityConfig
-) -> BirthCount:
-    """Expected live births over one year from the female population.
+) -> np.ndarray:
+    """Expected live births over one year from the female population, as
+    a float64 ``(2,)`` array in :data:`~uidforge.core.SEX_ROWS` order (F,
+    M): ``total * male_share`` are male and the rest female.
 
     Requires a female count cell (possibly zero) at every reproductive
     age 15..49; a missing cell is a data error, not an implicit zero.
@@ -189,9 +170,8 @@ def survive_cohorts(
         raise DomainError(f"span must be >= 1, got {span}")
     if span > omega:
         raise DomainError(f"span {span} exceeds the age axis (max_age {omega})")
-    return AgePyramid._over(
-        pop.region, pop.time_label + span, pop.axis, _survive(pop.array, survival.array, span)
-    )
+    cells = Cells(_survive(pop.array, survival.array, span))
+    return AgePyramid(pop.region, pop.time_label + span, pop.axis, cells)
 
 
 def age_group_survivors(
@@ -243,13 +223,11 @@ def project_population(
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     counts = np.empty((horizon + 1, 2, pop.axis.n_ages))
     counts[0] = pop.array
-    male, female = Sex.MALE.row, Sex.FEMALE.row
     frame = pop
     for k in range(1, horizon + 1):
         births = project_births(frame, survival, fert)
         counts[k] = survive_cohorts(frame, survival, 1).array
-        counts[k, male, 0] = births.sex_count(Sex.MALE)
-        counts[k, female, 0] = births.sex_count(Sex.FEMALE)
-        frame = AgePyramid._over(pop.region, pop.time_label + k, pop.axis, counts[k])
+        counts[k, :, 0] = births
+        frame = AgePyramid(pop.region, pop.time_label + k, pop.axis, Cells(counts[k]))
     return ProjectionSeries(pop.region, pop.time_label, pop.axis, counts)
 

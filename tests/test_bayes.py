@@ -184,6 +184,8 @@ class TestMetropolisSampler:
             metropolis_sample(TWO_OBS, prior, 0, seed=1)
         with pytest.raises(DomainError):
             metropolis_sample(TWO_OBS, prior, 100, seed=1, proposal_scale=0.0)
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            metropolis_sample(TWO_OBS, prior, 100, seed=-1)
 
     def test_nonfinite_start_is_initialization_error(self):
         prior = PriorSpec(1e308, 1e-308)  # prior mean overflows to inf

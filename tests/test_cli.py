@@ -528,6 +528,15 @@ class TestEstimateCommand:
         assert "--seed must be an integer, got 'abc'" in err
         assert not (out / "posterior.csv").exists()
 
+    @pytest.mark.parametrize("spelling", ["flag", "env"])
+    def test_negative_seed_fails_in_one_line(self, tmp_path, monkeypatch, capsys, spelling):
+        out = tmp_path / "out"
+        monkeypatch.setenv("UIDFORGE_SEED", "-1")
+        extra = ("--seed=-1",) if spelling == "flag" else ()
+        assert main(self.estimate_args(tmp_path, out, *extra)) == 1
+        assert "seed must be >= 0, got -1" in assert_one_line_error(capsys, "estimate")
+        assert not (out / "posterior.csv").exists()
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -562,6 +571,26 @@ class TestEstimateCommand:
         assert main(self.estimate_args(tmp_path, afile / "sub")) == 1
         err = assert_one_line_error(capsys, "estimate")
         assert "cannot create output directory" in err and str(afile / "sub") in err
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "command, option, size",
+        [
+            ("estimate", "samples", 10**18),
+            ("project", "horizon", 10**15),
+            ("demand", "horizon", 10**15),
+        ],
+    )
+    def test_a_size_beyond_any_memory_fails_in_one_line(
+        self, flag_values, capsys, command, option, size
+    ):
+        # far beyond any address space: numpy fails before allocating anything
+        values = {**flag_values[command], option: str(size)}
+        assert main(as_argv(command, values)) == 1
+        err = assert_one_line_error(capsys, command)
+        assert err.startswith(f"uidforge {command}: error: out of memory: ")
+        assert list(Path(values["out"]).glob("*")) == []
 
 
 class TestConfigFile:

@@ -241,12 +241,12 @@ class TestValidatePyramid:
         assert report == ["missing cell: sex=F age=99"]
 
     def test_age_beyond_axis_reported(self, region):
-        axis = AgeAxis(5)
-        pyr = dense_pyramid(region, 2011, axis)
-        cells = dict(pyr.counts)
-        cells[(Sex.MALE, 9)] = 1.0
-        report = validate_pyramid(AgePyramid(region, 2011, axis, cells), axis)
-        assert any("age beyond axis" in line for line in report)
+        pyr = dense_pyramid(region, 2011, AgeAxis(9))
+        report = validate_pyramid(pyr, AgeAxis(5))
+        assert report == [
+            f"age beyond axis: sex={sex.value} age={age}" for sex in (Sex.FEMALE, Sex.MALE)
+            for age in range(6, 10)
+        ]
 
     def test_nonfinite_reported(self, region):
         axis = AgeAxis(2)
@@ -286,17 +286,42 @@ class TestPyramidBasics:
         pyr = AgePyramid(region, 2011, axis, cells)
         assert pyr.total(Sex.FEMALE) == pyr.total() == 1e16 + 2
 
-    def test_cells_beyond_the_axis_are_kept_apart(self, region):
-        axis = AgeAxis(3)
-        pyr = AgePyramid(region, 2011, axis, {(Sex.MALE, 9): 4.0, (Sex.FEMALE, 1): 2.0})
-        assert pyr.has_cell(Sex.MALE, 9) and pyr.count(Sex.MALE, 9) == 4.0
-        assert list(pyr.counts) == [(Sex.FEMALE, 1), (Sex.MALE, 9)]
-        assert pyr.array.sum() == pyr.total() == 2.0
-        assert pyr.present.sum() == 1 and len(pyr.counts) == 2
+    def test_cell_beyond_the_axis_rejected(self, region):
+        with pytest.raises(DomainError, match=r"^cell \(M, 9\) lies beyond the axis 0\.\.3$"):
+            AgePyramid(region, 2011, AgeAxis(3), {(Sex.FEMALE, 1): 2.0, (Sex.MALE, 9): 4.0})
+
+    def test_pyramid_and_schedule_reject_an_off_axis_cell_alike(self, region):
+        axis = AgeAxis(5)
+        cells = {(sex, age): 0.5 for sex in Sex for age in axis.ages()}
+        cells[(Sex.MALE, 5)] = cells[(Sex.FEMALE, 5)] = 0.0
+        cells[(Sex.MALE, 9)] = 0.5
+        with pytest.raises(DomainError) as pyramid_error:
+            AgePyramid(region, 2011, axis, cells)
+        with pytest.raises(DomainError) as schedule_error:
+            SurvivalSchedule(region, axis, cells)
+        assert str(pyramid_error.value) == str(schedule_error.value)
+        assert str(schedule_error.value) == "cell (M, 9) lies beyond the axis 0..5"
+
+    def test_missing_key_raises_key_error(self, region):
+        pyr = AgePyramid(region, 2011, AgeAxis(3), {(Sex.FEMALE, 1): 2.0})
+        for key in [(Sex.MALE, 1), (Sex.FEMALE, 9), (Sex.FEMALE, -1), "F"]:
+            with pytest.raises(KeyError) as err:
+                pyr.counts[key]
+            assert err.value.args == (key,)
+        assert list(pyr.counts) == [(Sex.FEMALE, 1)] and len(pyr.counts) == 1
 
     def test_non_number_cell_rejected(self, region):
         with pytest.raises(DomainError, match="not a number"):
             AgePyramid(region, 2011, AgeAxis(3), {(Sex.MALE, 1): "5"})
+
+    @pytest.mark.parametrize("key", [(Sex.FEMALE, 2.0), ("F", 1), (None, 1)])
+    def test_key_that_is_not_a_sex_and_integer_age_rejected(self, region, key):
+        with pytest.raises(DomainError, match=r"is not a \(Sex, integer age\) pair"):
+            AgePyramid(region, 2011, AgeAxis(3), {key: 1.0})
+
+    def test_boolean_age_is_one_cell(self, region):
+        pyr = AgePyramid(region, 2011, AgeAxis(3), {(Sex.FEMALE, True): 1.0})
+        assert pyr.counts == {(Sex.FEMALE, 1): 1.0}
 
     def test_numpy_scalar_cells_accepted(self, region):
         cells = {(Sex.MALE, 1): np.float32(0.5), (Sex.FEMALE, 2): np.int64(3)}

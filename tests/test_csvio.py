@@ -41,6 +41,7 @@ from uidforge.csvio import (
     load_survival_csv,
     load_unknown_age_csv,
     render_series_chart,
+    write_file,
 )
 from conftest import dense_pyramid
 
@@ -177,9 +178,11 @@ class TestLoadPopulation:
         assert back["IN"].counts == pyramid.counts
 
     def test_cell_beyond_the_axis_is_not_written(self, tmp_path, region):
-        pyramid = AgePyramid(region, 2011, AgeAxis(3), {(Sex.FEMALE, 1): 5.0, (Sex.MALE, 7): 1.0})
-        with pytest.raises(DomainError, match="region IN: a cell lies beyond the age axis"):
-            emit_population_csv({"IN": pyramid}, tmp_path / "out.csv")
+        with pytest.raises(DomainError, match=r"cell \(M, 7\) lies beyond the axis 0\.\.3"):
+            emit_population_csv(
+                {"IN": AgePyramid(region, 2011, AgeAxis(3), {(Sex.MALE, 7): 1.0})},
+                tmp_path / "out.csv",
+            )
         assert not (tmp_path / "out.csv").exists()
 
 
@@ -476,6 +479,19 @@ def time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class TestWriteFile:
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    def test_any_exception_removes_the_partial_file(self, tmp_path, error):
+        def chunks():
+            yield "year,region,sex,age,count\n"
+            raise error("after the first chunk")
+
+        path = tmp_path / "out.csv"
+        with pytest.raises(error, match="after the first chunk"):
+            write_file(path, chunks())
+        assert not path.exists()
 
 
 class TestProjectionWriter:

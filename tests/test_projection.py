@@ -31,12 +31,12 @@ class TestProjectBirths:
     def test_zero_fertility_zero_births(self, region, axis, unit_survival):
         pop = dense_pyramid(region, 2011, axis, female={20: 1000.0})
         fert = FertilityConfig({}, 1.0, 1.05)
-        assert project_births(pop, unit_survival, fert).total == 0.0
+        assert project_births(pop, unit_survival, fert).sum() == 0.0
 
     def test_zero_eligibility_zero_births(self, region, axis, unit_survival):
         pop = dense_pyramid(region, 2011, axis, female={20: 1000.0})
         fert = FertilityConfig.flat(0.2, eligible_proportion=0.0, sex_ratio_at_birth=1.05)
-        assert project_births(pop, unit_survival, fert).total == 0.0
+        assert project_births(pop, unit_survival, fert).sum() == 0.0
 
     def test_single_cell_hand_value(self, region, axis):
         # 1000 * 0.99 * 0.2 * 0.5 = 99
@@ -44,8 +44,8 @@ class TestProjectBirths:
         sched = SurvivalSchedule.flat(region, axis, 0.99)
         fert = FertilityConfig({20: 0.2}, eligible_proportion=0.5, sex_ratio_at_birth=1.0)
         births = project_births(pop, sched, fert)
-        assert births.total == pytest.approx(99.0, rel=1e-12)
-        assert births.total == pytest.approx(
+        assert births.sum() == pytest.approx(99.0, rel=1e-12)
+        assert births.sum() == pytest.approx(
             brute_force_births(pop, sched, fert), rel=1e-12
         )
 
@@ -54,7 +54,7 @@ class TestProjectBirths:
         pop = dense_pyramid(region, 2011, axis, female=female)
         sched = SurvivalSchedule.flat(region, axis, 0.97, 0.985)
         fert = FertilityConfig.flat(0.08, eligible_proportion=0.9, sex_ratio_at_birth=1.06)
-        got = project_births(pop, sched, fert).total
+        got = project_births(pop, sched, fert).sum()
         assert got == pytest.approx(brute_force_births(pop, sched, fert), rel=1e-12)
 
     def test_missing_reproductive_age_is_domain_error(self, region, axis, unit_survival):
@@ -67,10 +67,10 @@ class TestProjectBirths:
         pop = dense_pyramid(region, 2011, axis, female={25: 500.0})
         fert = FertilityConfig({25: 0.3}, eligible_proportion=1.0, sex_ratio_at_birth=1.05)
         births = project_births(pop, unit_survival, fert)
-        assert births.sex_count(Sex.MALE) / births.sex_count(Sex.FEMALE) == pytest.approx(
+        assert births[Sex.MALE.row] / births[Sex.FEMALE.row] == pytest.approx(
             1.05, rel=1e-12
         )
-        assert births.sex_count(Sex.MALE) + births.sex_count(Sex.FEMALE) == births.total
+        assert births[Sex.MALE.row] + births[Sex.FEMALE.row] == births.sum()
 
     def test_doubling_eligibility_doubles_births_exactly(self, region, axis):
         female = {age: 37.5 + age for age in range(15, 50)}
@@ -78,9 +78,19 @@ class TestProjectBirths:
         sched = SurvivalSchedule.flat(region, axis, 0.93)
         half = FertilityConfig.flat(0.11, eligible_proportion=0.41, sex_ratio_at_birth=1.0)
         full = FertilityConfig.flat(0.11, eligible_proportion=0.82, sex_ratio_at_birth=1.0)
-        assert project_births(pop, sched, full).total == 2.0 * project_births(
+        assert project_births(pop, sched, full).sum() == 2.0 * project_births(
             pop, sched, half
-        ).total
+        ).sum()
+
+    def test_births_are_age_zero_of_the_next_frame_bit_for_bit(self, region, axis):
+        female = {age: 1000.0 / (age + 1) for age in range(101)}
+        pop = dense_pyramid(region, 2011, axis, female=female, male={3: 7.0})
+        sched = SurvivalSchedule.flat(region, axis, 0.987, 0.991)
+        fert = FertilityConfig.flat(0.13, eligible_proportion=0.7, sex_ratio_at_birth=1.07)
+        births = project_births(pop, sched, fert)
+        assert births.dtype == np.float64 and births.shape == (2,)
+        frame = project_population(pop, sched, fert, 1).counts[1, :, 0]
+        assert births.tobytes() == frame.tobytes()
 
 
 class TestInfantSurvival:
