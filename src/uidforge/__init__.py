@@ -21,7 +21,6 @@ from .bayes import (
     PosteriorChain,
     PriorSpec,
     conjugate_posterior,
-    log_posterior_unnormalized,
     metropolis_sample,
     summarize_chain,
 )
@@ -33,13 +32,10 @@ from .core import (
     RegionLevel,
     Sex,
     SurvivalSchedule,
-    multi_year_survival,
-    validate_pyramid,
 )
 from .coverage import (
     CoverageConfig,
     DualSystemCounts,
-    add_enumeration_segments,
     allocate_unknown_age,
     apply_omission_adjustment,
     dual_system_estimate,
@@ -74,7 +70,6 @@ from .ledger import (
 )
 from .projection import (
     ProjectionSeries,
-    age_group_survivors,
     deaths_by_age,
     project_births,
     project_population,

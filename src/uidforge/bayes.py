@@ -95,20 +95,6 @@ def conjugate_posterior(
     return shape, rate
 
 
-def log_posterior_unnormalized(
-    beta: float, data: Sequence[DemandObservation], prior: PriorSpec
-) -> float:
-    """Log of prior times likelihood at ``beta``, up to an additive
-    constant independent of beta: the Poisson likelihood collapses onto
-    the conjugate parameters, (shape' - 1) * log(beta) - rate' * beta
-    plus a constant."""
-    if not beta > 0:
-        raise DomainError(f"beta must be > 0, got {beta!r}")
-    shape_eff, rate_eff = conjugate_posterior(data, prior)
-    const = sum(obs.count * math.log(obs.exposure) for obs in data)
-    return (shape_eff - 1.0) * math.log(beta) - rate_eff * beta + const
-
-
 def metropolis_sample(
     data: Sequence[DemandObservation],
     prior: PriorSpec,

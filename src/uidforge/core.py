@@ -50,8 +50,6 @@ class RegionLevel(Enum):
     COUNTRY = "country"
     STATE = "state"
     REGION = "region"
-    BLOCK = "block"
-    WARD = "ward"
 
 
 @dataclass(frozen=True)
@@ -156,11 +154,10 @@ class AgePyramid:
     at report time. ``counts`` is a :class:`Cells` view of the read-only
     ``array`` and its ``present`` mask; a mapping given to the
     constructor is copied into that form, and a cell off the axis is a
-    DomainError. Otherwise the container is deliberately permissive
-    (sparse cells and negative or non-finite counts are representable)
-    so that :func:`validate_pyramid` can report problems instead of the
-    constructor hiding them. Missing cells read as 0.0 through
-    :meth:`count`.
+    DomainError. Otherwise the container is deliberately permissive:
+    sparse cells and negative or non-finite counts are representable,
+    and the CSV loaders, not the constructor, reject bad input. Missing
+    cells read as 0.0 through :meth:`count`.
     """
 
     region: RegionId
@@ -185,9 +182,6 @@ class AgePyramid:
 
     def count(self, sex: Sex, age: int) -> float:
         return self.counts.get((sex, age), 0.0)
-
-    def has_cell(self, sex: Sex, age: int) -> bool:
-        return (sex, age) in self.counts
 
     def total(self, sex: Sex | None = None) -> float:
         """Sum of the present cells, added in (sex, age) order."""
@@ -227,9 +221,9 @@ class SurvivalSchedule:
     schedule is dense: every age 0..max_age must be present for both
     sexes, values lie in [0, 1], and the value at the last age of life
     is 0. Multi-year survival is always composed from these one-year
-    factors, keeping a single source of truth; :func:`multi_year_survival`
-    is the cell-by-cell reference for the array arithmetic in
-    :mod:`uidforge.projection`.
+    factors, keeping a single source of truth; the multi-year survival
+    oracle in ``tests/oracles.py`` is the cell-by-cell reference for the
+    array arithmetic in :mod:`uidforge.projection`.
     """
 
     region: RegionId
@@ -260,11 +254,6 @@ class SurvivalSchedule:
     def array(self) -> np.ndarray:
         """One-year survival as a read-only ``(2, n_ages)`` array."""
         return self.one_year.array
-
-    def prob(self, sex: Sex, age: int) -> float:
-        if not self.axis.contains(age):
-            raise DomainError(f"age {age} outside axis 0..{self.axis.max_age}")
-        return self.array.item(sex.row, age)
 
     @classmethod
     def flat(
@@ -354,51 +343,3 @@ class FertilityConfig:
     ) -> "FertilityConfig":
         rates = {age: rate for age in range(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)}
         return cls(rates, eligible_proportion, sex_ratio_at_birth, infant_mortality)
-
-
-def multi_year_survival(
-    schedule: SurvivalSchedule, sex: Sex, age: int, span: int
-) -> float:
-    """Probability that a person of ``age`` survives ``span`` further years.
-
-    Composed as the product of one-year factors
-    s(age, age+1) * s(age+1, age+2) * ... * s(age+span-1, age+span).
-    span = 0 is the empty product, 1.0.
-    """
-    axis = schedule.axis
-    if span < 0:
-        raise DomainError(f"span must be >= 0, got {span}")
-    if not axis.contains(age):
-        raise DomainError(f"age {age} outside axis 0..{axis.max_age}")
-    if age + span > axis.max_age + 1:
-        raise DomainError(
-            f"age {age} + span {span} reaches past the last age of life ({axis.max_age})"
-        )
-    p = 1.0
-    for s in schedule.array[sex.row, age : age + span].tolist():
-        p *= s
-    return p
-
-
-def validate_pyramid(pyramid: AgePyramid, axis: AgeAxis) -> list[str]:
-    """List every invariant the pyramid violates against ``axis``.
-
-    Returns an empty list iff the pyramid is valid: every (sex, age) cell
-    for ages 0..max_age present, all counts finite and non-negative, and
-    no cells outside the axis. A pyramid's cells all lie on its own axis,
-    so a cell outside ``axis`` means the pyramid's axis is the longer.
-    """
-    problems: list[str] = []
-    for (sex, age), v in pyramid.counts.items():
-        if not axis.contains(age):
-            problems.append(f"age beyond axis: sex={sex.value} age={age}")
-            continue
-        if not math.isfinite(v):
-            problems.append(f"non-finite count: sex={sex.value} age={age} value={v!r}")
-        elif v < 0:
-            problems.append(f"negative count: sex={sex.value} age={age} value={v!r}")
-    for sex in Sex:
-        for age in axis.ages():
-            if not pyramid.has_cell(sex, age):
-                problems.append(f"missing cell: sex={sex.value} age={age}")
-    return problems

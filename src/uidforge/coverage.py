@@ -1,6 +1,6 @@
 """Pre-projection corrections to raw census counts: net-omission
-inflation, dual-system (capture-recapture) totals, proration of
-unknown-age records and inclusion of houseless segments.
+inflation, dual-system (capture-recapture) totals and proration of
+unknown-age records.
 
 Omission is read as the fraction of the true population the enumeration
 missed, so the correction divides: true = enumerated / (1 - rate/1000).
@@ -8,7 +8,6 @@ missed, so the correction divides: true = enumerated / (1 - rate/1000).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -36,15 +35,11 @@ class CoverageConfig:
     """Correction parameters for one region's raw counts."""
 
     omission_per_1000: float = 0.0
-    houseless_rural: float = 0.0
-    houseless_urban: float = 0.0
     unknown_age_counts: Mapping = None
 
     def __post_init__(self):
         if not 0.0 <= self.omission_per_1000 < 1000.0:
             raise DomainError("omission_per_1000 must lie in [0, 1000)")
-        require_finite_nonnegative("houseless_rural", self.houseless_rural)
-        require_finite_nonnegative("houseless_urban", self.houseless_urban)
         unknowns = dict(self.unknown_age_counts or {})
         for sex, n in unknowns.items():
             require_finite_nonnegative(f"unknown-age count for {sex}", n)
@@ -97,23 +92,3 @@ def allocate_unknown_age(pyramid: AgePyramid, cfg: CoverageConfig) -> AgePyramid
             )
         cells[sex.row] *= (known + unknown) / known
     return pyramid.replace_counts(cells)
-
-
-def add_enumeration_segments(
-    pyramid: AgePyramid, cfg: CoverageConfig, segment_age_profile: Mapping
-) -> AgePyramid:
-    """Distribute the houseless segment totals over the pyramid by the
-    supplied (sex, age) -> weight profile and add them cell-wise."""
-    segment_total = cfg.houseless_rural + cfg.houseless_urban
-    if segment_total == 0.0:
-        return pyramid
-    weight_sum = sum(segment_age_profile.values())
-    if not math.isclose(weight_sum, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise DomainError(f"segment age profile weights sum to {weight_sum!r}, not 1")
-    cells, present = pyramid.array.copy(), pyramid.present.copy()
-    for (sex, age), w in segment_age_profile.items():
-        if w < 0 or not pyramid.axis.contains(age):
-            raise DomainError(f"segment weight for ({sex.value}, {age}) must be >= 0 on the axis")
-        cells[sex.row, age] += segment_total * w
-        present[sex.row, age] = True
-    return pyramid.replace_counts(cells, present)

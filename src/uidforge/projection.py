@@ -10,10 +10,7 @@ rate and K the eligible proportion; the survival factor applies to the
 mothers before the rate does. Cohorts age through the difference
 equation
 
-    P[t+1](x+1) = P[t](x) * s(x, x+1)
-
-and age groups are survived by summing the single-year cohorts of the
-group (rectangle rule on single-year cells).
+    P[t+1](x+1) = P[t](x) * s(x, x+1).
 
 The arithmetic runs on float64 arrays of shape ``(2, n_ages)`` (rows in
 :data:`~uidforge.core.SEX_ROWS` order), the Leslie-matrix form of the
@@ -25,8 +22,8 @@ functions: :func:`project_population` steps each year with
 age 0, and :func:`survive_cohorts`, on pyramids whose counts read
 straight from the array; the card ledger takes the deaths of all its
 frames at once from :func:`deaths_by_age`.
-Cells are validated where data enters (the CSV loaders,
-:func:`~uidforge.core.validate_pyramid`), not re-checked here.
+Cells are validated where data enters (the CSV loaders), not re-checked
+here.
 A :class:`ProjectionSeries` keeps all frames in one
 ``(horizon + 1, 2, n_ages)`` array and builds :class:`AgePyramid`
 frames only when asked.
@@ -97,13 +94,11 @@ def _check_axes(pop: AgePyramid, survival: SurvivalSchedule):
 def _check_reproductive_cells(pop: AgePyramid):
     if pop.axis.max_age >= REPRODUCTIVE_AGE_MAX and pop.present[Sex.FEMALE.row, _BAND].all():
         return
-    missing = [
-        x
-        for x in range(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)
-        if not pop.has_cell(Sex.FEMALE, x)
-    ]
-    if missing:
-        raise DomainError(f"pyramid lacks female counts at reproductive ages {missing}")
+    # ages beyond a short axis are missing too
+    female = pop.present[Sex.FEMALE.row].tolist()
+    band = range(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)
+    missing = [x for x in band if x >= len(female) or not female[x]]
+    raise DomainError(f"pyramid lacks female counts at reproductive ages {missing}")
 
 
 def deaths_by_age(counts: np.ndarray, survival: np.ndarray) -> np.ndarray:
@@ -172,38 +167,6 @@ def survive_cohorts(
         raise DomainError(f"span {span} exceeds the age axis (max_age {omega})")
     cells = Cells(_survive(pop.array, survival.array, span))
     return AgePyramid(pop.region, pop.time_label + span, pop.axis, cells)
-
-
-def age_group_survivors(
-    pop: AgePyramid,
-    survival: SurvivalSchedule,
-    start_age: int,
-    width: int,
-    span: int,
-    sex: Sex | None = None,
-) -> float:
-    """Survivors after ``span`` years out of the age group
-    [start_age, start_age + width).
-
-    Discretizes the group total with the rectangle rule on single-year
-    cells: sum over t = 0..width-1 of p(start_age+t) * survival over the
-    span. With ``sex`` None both sexes are summed. Equals the sum of the
-    corresponding :func:`survive_cohorts` output cells by construction.
-    """
-    _check_axes(pop, survival)
-    omega = pop.axis.max_age
-    if width < 1:
-        raise DomainError(f"width must be >= 1, got {width}")
-    if span < 0:
-        raise DomainError(f"span must be >= 0, got {span}")
-    if start_age < 0 or start_age + width + span > omega + 1:
-        raise DomainError(
-            f"group [{start_age}, {start_age + width}) surviving {span} years "
-            f"leaves the axis 0..{omega}"
-        )
-    survived = _survive(pop.array, survival.array, span) if span else pop.array
-    rows = [0, 1] if sex is None else [sex.row]
-    return float(survived[rows, start_age + span : start_age + span + width].sum())
 
 
 def project_population(

@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from uidforge import (
     PosteriorChain,
     PriorSpec,
     conjugate_posterior,
-    log_posterior_unnormalized,
     metropolis_sample,
     summarize_chain,
 )
@@ -35,52 +33,6 @@ class TestTypes:
             PriorSpec(0.0, 1.0)
         with pytest.raises(DomainError):
             PriorSpec(1.0, -1.0)
-
-
-class TestLogPosterior:
-    def test_empty_data_reduces_to_prior_kernel(self):
-        prior = PriorSpec(3.0, 2.0)
-        for beta in (0.3, 1.0, 4.2):
-            expected = (3.0 - 1.0) * math.log(beta) - 2.0 * beta
-            assert log_posterior_unnormalized(beta, [], prior) == pytest.approx(
-                expected, rel=1e-12
-            )
-
-    def test_two_observation_ratio_hand_value(self):
-        # kernel is 11*log(beta) - 3*beta for this prior and data, so
-        # logpost(2) - logpost(1) = 11*ln 2 - 3
-        prior = PriorSpec(2.0, 1.0)
-        delta = log_posterior_unnormalized(2.0, TWO_OBS, prior) - log_posterior_unnormalized(
-            1.0, TWO_OBS, prior
-        )
-        assert delta == pytest.approx(11.0 * math.log(2.0) - 3.0, rel=1e-12)
-
-    def test_decreasing_beyond_prior_mode_when_counts_zero(self):
-        prior = PriorSpec(2.0, 1.0)
-        data = [DemandObservation(2012, 0, 5.0)]
-        mode = (prior.shape - 1) / (prior.rate + 5.0)
-        betas = [mode * (1 + k) for k in range(1, 8)]
-        values = [log_posterior_unnormalized(b, data, prior) for b in betas]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_nonpositive_beta_rejected(self):
-        prior = PriorSpec(1.0, 1.0)
-        for beta in (0.0, -1.0):
-            with pytest.raises(DomainError):
-                log_posterior_unnormalized(beta, [], prior)
-
-    def test_differences_free_of_additive_constant(self):
-        # independent closed-form route that never includes the constant
-        prior = PriorSpec(1.5, 0.7)
-        data = [DemandObservation(2012, 3, 2.0), DemandObservation(2013, 8, 5.0)]
-        b1, b2 = 1.7, 0.4
-        got = log_posterior_unnormalized(b1, data, prior) - log_posterior_unnormalized(
-            b2, data, prior
-        )
-        shape_eff = prior.shape + 3 + 8
-        rate_eff = prior.rate + 2.0 + 5.0
-        expected = (shape_eff - 1) * math.log(b1 / b2) - rate_eff * (b1 - b2)
-        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestConjugatePosterior:

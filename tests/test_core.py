@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from uidforge import (
     AgeAxis,
@@ -18,8 +16,6 @@ from uidforge import (
     StateFlows,
     StateRates,
     SurvivalSchedule,
-    multi_year_survival,
-    validate_pyramid,
 )
 from conftest import dense_pyramid
 
@@ -50,8 +46,8 @@ class TestSurvivalSchedule:
     def test_flat_forces_zero_at_last_age(self, region):
         axis = AgeAxis(10)
         sched = SurvivalSchedule.flat(region, axis, 0.9)
-        assert sched.prob(Sex.MALE, 0) == 0.9
-        assert sched.prob(Sex.FEMALE, 10) == 0.0
+        assert sched.array[Sex.MALE.row, 0] == 0.9
+        assert sched.array[Sex.FEMALE.row, 10] == 0.0
 
     def test_missing_age_rejected(self, region):
         axis = AgeAxis(2)
@@ -108,155 +104,6 @@ class TestFertilityConfig:
         assert cfg.male_share == 0.5
 
 
-class TestMultiYearSurvival:
-    def test_span_zero_is_empty_product(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.7)
-        assert multi_year_survival(sched, Sex.MALE, 30, 0) == 1.0
-
-    def test_identity_survival(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 1.0)
-        for age in (0, 17, 80):
-            assert multi_year_survival(sched, Sex.FEMALE, age, 10) == 1.0
-
-    def test_three_year_product(self, region, axis):
-        # direct product: 0.9 * 0.9 * 0.9
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
-        got = multi_year_survival(sched, Sex.MALE, 20, 3)
-        assert got == pytest.approx(0.729, rel=1e-12)
-
-    def test_age_out_of_axis(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
-        with pytest.raises(DomainError):
-            multi_year_survival(sched, Sex.MALE, 101, 1)
-        with pytest.raises(DomainError):
-            multi_year_survival(sched, Sex.MALE, -1, 1)
-
-    def test_span_past_last_age(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
-        with pytest.raises(DomainError):
-            multi_year_survival(sched, Sex.MALE, 95, 7)
-        # to exactly omega+1 is allowed and passes through s(omega) = 0
-        assert multi_year_survival(sched, Sex.MALE, 95, 6) == 0.0
-
-    def test_negative_span(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
-        with pytest.raises(DomainError):
-            multi_year_survival(sched, Sex.MALE, 20, -1)
-
-
-# dyadic probabilities with <= 4 mantissa bits: products of up to 12 of
-# them are exact in double precision, so composition can be checked
-# bit-for-bit rather than approximately
-_dyadic_probs = st.integers(min_value=0, max_value=16).map(lambda i: i / 16.0)
-
-
-class TestCompositionProperty:
-    @given(
-        probs=st.lists(_dyadic_probs, min_size=30, max_size=30),
-        age=st.integers(min_value=0, max_value=10),
-        a=st.integers(min_value=0, max_value=6),
-        b=st.integers(min_value=0, max_value=6),
-        sex=st.sampled_from(list(Sex)),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_composition_exact_on_dyadic_schedules(self, probs, age, a, b, sex):
-        axis = AgeAxis(29)
-        region = RegionId("X")
-        cells = {}
-        for s in Sex:
-            for x in range(30):
-                cells[(s, x)] = probs[x] if x < 29 else 0.0
-        sched = SurvivalSchedule(region, axis, cells)
-        whole = multi_year_survival(sched, sex, age, a + b)
-        parts = multi_year_survival(sched, sex, age, a) * multi_year_survival(
-            sched, sex, age + a, b
-        )
-        assert whole == parts
-
-    @given(
-        probs=st.lists(
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=30, max_size=30
-        ),
-        age=st.integers(min_value=0, max_value=10),
-        a=st.integers(min_value=0, max_value=6),
-        b=st.integers(min_value=0, max_value=6),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_composition_close_on_arbitrary_schedules(self, probs, age, a, b):
-        axis = AgeAxis(29)
-        cells = {}
-        for s in Sex:
-            for x in range(30):
-                cells[(s, x)] = probs[x] if x < 29 else 0.0
-        sched = SurvivalSchedule(RegionId("X"), axis, cells)
-        whole = multi_year_survival(sched, Sex.MALE, age, a + b)
-        parts = multi_year_survival(sched, Sex.MALE, age, a) * multi_year_survival(
-            sched, Sex.MALE, age + a, b
-        )
-        assert whole == pytest.approx(parts, rel=1e-12, abs=1e-300)
-
-    @given(
-        probs=st.lists(
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=30, max_size=30
-        ),
-        age=st.integers(min_value=0, max_value=5),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_nonincreasing_in_span(self, probs, age):
-        axis = AgeAxis(29)
-        cells = {}
-        for s in Sex:
-            for x in range(30):
-                cells[(s, x)] = probs[x] if x < 29 else 0.0
-        sched = SurvivalSchedule(RegionId("X"), axis, cells)
-        values = [
-            multi_year_survival(sched, Sex.FEMALE, age, span)
-            for span in range(0, 29 - age + 1)
-        ]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-class TestValidatePyramid:
-    def test_valid_pyramid_has_empty_report(self, region):
-        axis = AgeAxis(5)
-        pyr = dense_pyramid(region, 2011, axis, female={2: 10.0}, male={3: 4.0})
-        assert validate_pyramid(pyr, axis) == []
-
-    def test_negative_count_reported_with_cell(self, region):
-        axis = AgeAxis(5)
-        pyr = dense_pyramid(region, 2011, axis)
-        cells = dict(pyr.counts)
-        cells[(Sex.MALE, 5)] = -1.0
-        bad = AgePyramid(region, 2011, axis, cells)
-        report = validate_pyramid(bad, axis)
-        assert len(report) == 1
-        assert "negative" in report[0] and "M" in report[0] and "5" in report[0]
-
-    def test_missing_cell_reported(self, region):
-        axis = AgeAxis(100)
-        pyr = dense_pyramid(region, 2011, axis)
-        cells = dict(pyr.counts)
-        del cells[(Sex.FEMALE, 99)]
-        report = validate_pyramid(AgePyramid(region, 2011, axis, cells), axis)
-        assert report == ["missing cell: sex=F age=99"]
-
-    def test_age_beyond_axis_reported(self, region):
-        pyr = dense_pyramid(region, 2011, AgeAxis(9))
-        report = validate_pyramid(pyr, AgeAxis(5))
-        assert report == [
-            f"age beyond axis: sex={sex.value} age={age}" for sex in (Sex.FEMALE, Sex.MALE)
-            for age in range(6, 10)
-        ]
-
-    def test_nonfinite_reported(self, region):
-        axis = AgeAxis(2)
-        pyr = dense_pyramid(region, 2011, axis)
-        cells = dict(pyr.counts)
-        cells[(Sex.FEMALE, 1)] = math.nan
-        report = validate_pyramid(AgePyramid(region, 2011, axis, cells), axis)
-        assert any("non-finite" in line for line in report)
-
-
 class TestPyramidBasics:
     def test_totals_by_sex(self, region):
         axis = AgeAxis(3)
@@ -269,13 +116,13 @@ class TestPyramidBasics:
         axis = AgeAxis(3)
         pyr = AgePyramid(region, 2011, axis, {(Sex.FEMALE, 2): 9.0})
         assert pyr.count(Sex.MALE, 1) == 0.0
-        assert not pyr.has_cell(Sex.MALE, 1)
+        assert not pyr.present[Sex.MALE.row, 1]
 
     def test_densified_fills_zeros(self, region):
         axis = AgeAxis(3)
         pyr = AgePyramid(region, 2011, axis, {(Sex.FEMALE, 2): 9.0})
         dense = pyr.densified()
-        assert validate_pyramid(dense, axis) == []
+        assert dense.present.all()
         assert dense.count(Sex.FEMALE, 2) == 9.0
         assert dense.total() == 9.0
 
@@ -348,8 +195,6 @@ _VALIDATED = (
     + [(f"StateRates.{n}", lambda v, n=n: StateRates(_STATE, **{**_RATES, n: v})) for n in _RATES]
     + [(f"DemandRow.{n}", lambda v, n=n: DemandRow(2012, **{**_DEMAND, n: v})) for n in _DEMAND]
     + [
-        ("CoverageConfig.houseless_rural", lambda v: CoverageConfig(houseless_rural=v)),
-        ("CoverageConfig.houseless_urban", lambda v: CoverageConfig(houseless_urban=v)),
         ("CoverageConfig.unknown_M", lambda v: CoverageConfig(unknown_age_counts={Sex.MALE: v})),
         ("CoverageConfig.unknown_F", lambda v: CoverageConfig(unknown_age_counts={Sex.FEMALE: v})),
     ]

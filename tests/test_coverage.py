@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from uidforge import (
     AgeAxis,
-    AgePyramid,
     AllocationError,
     CoverageConfig,
     DomainError,
@@ -12,7 +11,6 @@ from uidforge import (
     RegionId,
     Sex,
     UndefinedEstimateError,
-    add_enumeration_segments,
     allocate_unknown_age,
     apply_omission_adjustment,
     dual_system_estimate,
@@ -72,12 +70,10 @@ class TestOmissionAdjustment:
         assert out.counts == pyr.counts
 
     def test_twenty_per_thousand(self, region, axis):
-        from uidforge import validate_pyramid
-
         pyr = dense_pyramid(region, 2011, axis, female={20: 980000.0})
         out = apply_omission_adjustment(pyr, CoverageConfig(omission_per_1000=20.0))
         assert out.total() == pytest.approx(1_000_000.0, rel=1e-12)
-        assert validate_pyramid(out, axis) == []
+        assert out.present.all()
 
     def test_fortynine_per_thousand(self, region, axis):
         pyr = dense_pyramid(region, 2011, axis, male={30: 951000.0})
@@ -149,50 +145,6 @@ class TestAllocateUnknownAge:
         cfg = CoverageConfig(unknown_age_counts={Sex.FEMALE: 2.0})
         out = allocate_unknown_age(pyr, cfg)
         assert out.count(Sex.MALE, 20) == 10.0
-
-
-class TestEnumerationSegments:
-    def test_zero_segments_is_identity(self, region, axis):
-        pyr = dense_pyramid(region, 2011, axis, female={20: 10.0})
-        out = add_enumeration_segments(pyr, CoverageConfig(), {(Sex.FEMALE, 20): 1.0})
-        assert out.counts == pyr.counts
-
-    def test_uniform_two_cell_profile(self, region, axis):
-        pyr = dense_pyramid(region, 2011, axis)
-        cfg = CoverageConfig(houseless_rural=600.0, houseless_urban=400.0)
-        profile = {(Sex.MALE, 30): 0.5, (Sex.FEMALE, 30): 0.5}
-        out = add_enumeration_segments(pyr, cfg, profile)
-        assert out.count(Sex.MALE, 30) == pytest.approx(500.0, rel=1e-12)
-        assert out.count(Sex.FEMALE, 30) == pytest.approx(500.0, rel=1e-12)
-
-    def test_census_2001_houseless_totals(self, region, axis):
-        # 1.2M rural + 0.8M urban houseless on top of a national pyramid
-        pyr = dense_pyramid(
-            region, 2011, axis, female={a: 1e6 for a in range(0, 80)},
-            male={a: 1e6 for a in range(0, 80)},
-        )
-        cfg = CoverageConfig(houseless_rural=1.2e6, houseless_urban=0.8e6)
-        profile = {(sex, a): 1.0 / 120 for sex in Sex for a in range(20, 80)}
-        out = add_enumeration_segments(pyr, cfg, profile)
-        assert out.total() - pyr.total() == pytest.approx(2.0e6, rel=1e-9)
-
-    def test_profile_cell_beyond_the_axis_rejected(self, region):
-        pyr = dense_pyramid(region, 2011, AgeAxis(5))
-        cfg = CoverageConfig(houseless_rural=10.0)
-        with pytest.raises(DomainError, match=r"\(M, 9\) must be >= 0 on the axis"):
-            add_enumeration_segments(pyr, cfg, {(Sex.MALE, 9): 1.0})
-
-    def test_new_profile_cells_become_present(self, region):
-        pyr = AgePyramid(region, 2011, AgeAxis(5), {(Sex.FEMALE, 1): 3.0})
-        cfg = CoverageConfig(houseless_urban=4.0)
-        out = add_enumeration_segments(pyr, cfg, {(Sex.MALE, 2): 0.25, (Sex.FEMALE, 1): 0.75})
-        assert out.counts == {(Sex.FEMALE, 1): 6.0, (Sex.MALE, 2): 1.0}
-
-    def test_bad_weight_sum_rejected(self, region, axis):
-        pyr = dense_pyramid(region, 2011, axis)
-        cfg = CoverageConfig(houseless_rural=10.0)
-        with pytest.raises(DomainError, match="weights"):
-            add_enumeration_segments(pyr, cfg, {(Sex.MALE, 30): 0.7})
 
 
 class TestRegionPartitionCommutation:

@@ -107,8 +107,8 @@ class TestLoadPopulation:
         pyramids = load_population_csv(path)
         assert list(pyramids) == ["IN"]
         assert pyramids["IN"].count(Sex.FEMALE, 20) == 1000.0
-        assert pyramids["IN"].has_cell(Sex.FEMALE, 20)
-        assert not pyramids["IN"].has_cell(Sex.MALE, 20)
+        assert pyramids["IN"].present[Sex.FEMALE.row, 20]
+        assert not pyramids["IN"].present[Sex.MALE.row, 20]
 
     def test_national_totals_load_exactly(self, tmp_path):
         # 2011 provisional totals: 623M males, 586M females
@@ -327,8 +327,8 @@ class TestLoadSurvival:
                 lines.append(f"IN,{sex},{age},{p}")
         path = write(tmp_path, "surv.csv", "\n".join(lines) + "\n")
         schedules = load_survival_csv(path, axis)
-        assert schedules["IN"].prob(Sex.MALE, 0) == 0.9
-        assert schedules["IN"].prob(Sex.FEMALE, 3) == 0.0
+        assert schedules["IN"].array[Sex.MALE.row, 0] == 0.9
+        assert schedules["IN"].array[Sex.FEMALE.row, 3] == 0.0
 
     def test_incomplete_schedule_rejected(self, tmp_path):
         path = write(tmp_path, "surv.csv", "region,sex,age,p\nIN,M,0,0.9\n")

@@ -11,15 +11,13 @@ from uidforge import (
     RegionId,
     Sex,
     SurvivalSchedule,
-    age_group_survivors,
     deaths_by_age,
-    multi_year_survival,
     project_births,
     project_population,
     survive_cohorts,
 )
 from conftest import dense_pyramid
-from oracles import bernoulli_cohort_survivors, brute_force_births
+from oracles import bernoulli_cohort_survivors, brute_force_births, multi_year_survival
 
 
 @pytest.fixture
@@ -63,6 +61,25 @@ class TestProjectBirths:
         with pytest.raises(DomainError, match="reproductive"):
             project_births(pop, unit_survival, fert)
 
+    @pytest.mark.parametrize(
+        "max_age, dropped, missing",
+        [(100, (20, 33), [20, 33]), (30, (), list(range(31, 50)))],
+        ids=["gaps", "short-axis"],
+    )
+    def test_missing_reproductive_ages_named(self, region, max_age, dropped, missing):
+        axis = AgeAxis(max_age)
+        cells = {
+            (sex, age): 0.0
+            for sex in Sex
+            for age in axis.ages()
+            if not (sex is Sex.FEMALE and age in dropped)
+        }
+        pop = AgePyramid(region, 2011, axis, cells)
+        sched = SurvivalSchedule.flat(region, axis, 1.0)
+        with pytest.raises(DomainError) as err:
+            project_births(pop, sched, FertilityConfig.flat(0.1, 1.0, 1.05))
+        assert str(err.value) == f"pyramid lacks female counts at reproductive ages {missing}"
+
     def test_sex_split_follows_ratio(self, region, axis, unit_survival):
         pop = dense_pyramid(region, 2011, axis, female={25: 500.0})
         fert = FertilityConfig({25: 0.3}, eligible_proportion=1.0, sex_ratio_at_birth=1.05)
@@ -100,6 +117,28 @@ class TestInfantSurvival:
 
     def test_zero_mortality_is_identity(self):
         assert FertilityConfig.flat(0.1, 1.0, 1.0, infant_mortality=0.0).infant_survival == 1.0
+
+
+# dyadic probabilities with <= 4 mantissa bits: an integer count 0..15
+# times up to 12 of them is exact in double precision, so composition can
+# be checked bit for bit rather than approximately
+_dyadic_probs = st.integers(min_value=0, max_value=16).map(lambda i: i / 16.0)
+_any_probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def _schedule_29(probs):
+    """Schedule on AgeAxis(29): F ages 0..28 from probs[:29], M from
+    probs[29:], and 0 at the last age of life."""
+    axis = AgeAxis(29)
+    cells = {(s, x): 0.0 for s in Sex for x in axis.ages()}
+    for x in range(29):
+        cells[(Sex.FEMALE, x)], cells[(Sex.MALE, x)] = probs[x], probs[29 + x]
+    return SurvivalSchedule(RegionId("X"), axis, cells)
+
+
+def _pyramid_29(counts):
+    female, male = dict(enumerate(counts[:30])), dict(enumerate(counts[30:]))
+    return dense_pyramid(RegionId("X"), 0, AgeAxis(29), female=female, male=male)
 
 
 class TestSurviveCohorts:
@@ -191,6 +230,51 @@ class TestSurviveCohorts:
             for x in range(span):
                 assert out.count(sex, x) == 0.0
 
+    @given(
+        probs=st.lists(_dyadic_probs, min_size=58, max_size=58),
+        counts=st.lists(st.integers(min_value=0, max_value=15), min_size=60, max_size=60),
+        a=st.integers(min_value=1, max_value=6),
+        b=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_composition_exact_on_dyadic_schedules(self, probs, counts, a, b):
+        sched, pop = _schedule_29(probs), _pyramid_29(counts)
+        whole = survive_cohorts(pop, sched, a + b)
+        parts = survive_cohorts(survive_cohorts(pop, sched, a), sched, b)
+        assert whole.array.tobytes() == parts.array.tobytes()
+        assert whole.time_label == parts.time_label == a + b
+
+    @given(
+        probs=st.lists(_any_probs, min_size=58, max_size=58),
+        counts=st.lists(
+            st.floats(min_value=0.0, max_value=1e9, allow_nan=False), min_size=60, max_size=60
+        ),
+        a=st.integers(min_value=1, max_value=6),
+        b=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_composition_close_on_arbitrary_schedules(self, probs, counts, a, b):
+        sched, pop = _schedule_29(probs), _pyramid_29(counts)
+        whole = survive_cohorts(pop, sched, a + b)
+        parts = survive_cohorts(survive_cohorts(pop, sched, a), sched, b)
+        assert whole.array == pytest.approx(parts.array, rel=1e-12, abs=1e-300)
+
+    @given(
+        probs=st.lists(_any_probs, min_size=58, max_size=58),
+        count=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+        age=st.integers(min_value=0, max_value=5),
+        sex=st.sampled_from(list(Sex)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cohort_nonincreasing_in_span(self, probs, count, age, sex):
+        sched = _schedule_29(probs)
+        pop = AgePyramid(RegionId("X"), 0, sched.axis, {(sex, age): count})
+        cohort = [count] + [
+            survive_cohorts(pop, sched, span).count(sex, age + span)
+            for span in range(1, 29 - age + 1)
+        ]
+        assert all(x >= y for x, y in zip(cohort, cohort[1:]))
+
     @given(span=st.integers(min_value=101, max_value=150))
     @settings(max_examples=10, deadline=None)
     def test_span_beyond_axis_rejected(self, span):
@@ -205,48 +289,6 @@ class TestSurviveCohorts:
         pop = dense_pyramid(region, 0, axis)
         with pytest.raises(DomainError):
             survive_cohorts(pop, unit_survival, 0)
-
-
-class TestAgeGroupSurvivors:
-    def test_width_one_equals_single_cohort(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.95)
-        pop = dense_pyramid(region, 0, axis, female={20: 150.0})
-        group = age_group_survivors(pop, sched, 20, 1, 5, sex=Sex.FEMALE)
-        single = survive_cohorts(pop, sched, 5).count(Sex.FEMALE, 25)
-        assert group == pytest.approx(single, rel=1e-12)
-
-    def test_identity_survival_preserves_group_total(self, region, axis, unit_survival):
-        pop = dense_pyramid(region, 0, axis, female={20: 100.0, 21: 200.0, 22: 50.0})
-        assert age_group_survivors(pop, unit_survival, 20, 3, 30, sex=Sex.FEMALE) == 350.0
-
-    def test_two_cell_hand_value(self, region, axis):
-        # 100 * 0.81 + 200 * 0.81 = 243
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
-        pop = dense_pyramid(region, 0, axis, female={20: 100.0, 21: 200.0})
-        got = age_group_survivors(pop, sched, 20, 2, 2, sex=Sex.FEMALE)
-        assert got == pytest.approx(243.0, rel=1e-12)
-
-    def test_equals_sum_of_survived_cohorts_both_sexes(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.92, 0.96)
-        pop = dense_pyramid(
-            region,
-            0,
-            axis,
-            female={30: 10.0, 31: 20.0, 32: 30.0, 33: 40.0},
-            male={30: 5.0, 31: 15.0, 32: 25.0, 33: 35.0},
-        )
-        group = age_group_survivors(pop, sched, 30, 4, 6)
-        survived = survive_cohorts(pop, sched, 6)
-        independent_sum = sum(
-            survived.count(sex, a) for sex in Sex for a in range(36, 40)
-        )
-        assert group == pytest.approx(independent_sum, rel=1e-12)
-
-    def test_bounds_checked(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
-        pop = dense_pyramid(region, 0, axis)
-        with pytest.raises(DomainError):
-            age_group_survivors(pop, sched, 95, 4, 3)
 
 
 class TestProjectPopulation:
