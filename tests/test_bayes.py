@@ -94,6 +94,15 @@ class TestMetropolisSampler:
         mean = summarize_chain(chain).mean
         assert abs(mean - shape / rate) / (shape / rate) < 0.01
 
+    def test_empty_data_samples_the_prior(self):
+        # with no observations the posterior is the Gamma(3, 2) prior:
+        # mean 1.5, variance 0.75; 2% is about four standard errors of
+        # the chain mean
+        prior = PriorSpec(3.0, 2.0)
+        summary = summarize_chain(metropolis_sample([], prior, 100_000, seed=13))
+        assert abs(summary.mean - 1.5) / 1.5 < 0.02
+        assert abs(summary.variance - 0.75) / 0.75 < 0.05
+
     @pytest.mark.parametrize(
         "prior,counts,exposures,seed",
         [

@@ -17,7 +17,9 @@ from uidforge import (
     StateRates,
     SurvivalSchedule,
 )
+from uidforge.core import SEX_ROWS
 from conftest import dense_pyramid
+from oracles import multi_year_survival
 
 
 class TestAgeAxis:
@@ -26,6 +28,10 @@ class TestAgeAxis:
         assert axis.max_age == 100
         assert axis.n_ages == 101
         assert list(axis.ages())[-1] == 100
+
+    def test_contains_runs_from_zero_to_max_age(self):
+        axis = AgeAxis(5)
+        assert [axis.contains(a) for a in (-1, 0, 5, 6)] == [False, True, True, False]
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "100"])
     def test_rejects_bad_max_age(self, bad):
@@ -42,12 +48,24 @@ class TestRegionId:
             RegionId("")
 
 
+class TestSex:
+    def test_rows_follow_sex_rows(self):
+        assert SEX_ROWS == (Sex.FEMALE, Sex.MALE)
+        assert (Sex.FEMALE.row, Sex.MALE.row) == (0, 1)
+
+
 class TestSurvivalSchedule:
     def test_flat_forces_zero_at_last_age(self, region):
         axis = AgeAxis(10)
         sched = SurvivalSchedule.flat(region, axis, 0.9)
         assert sched.array[Sex.MALE.row, 0] == 0.9
         assert sched.array[Sex.FEMALE.row, 10] == 0.0
+
+    def test_flat_puts_each_sex_in_its_row(self, region):
+        sched = SurvivalSchedule.flat(region, AgeAxis(3), 0.9, 0.95)
+        assert sched.array[Sex.MALE.row].tolist() == [0.9, 0.9, 0.9, 0.0]
+        assert sched.array[Sex.FEMALE.row].tolist() == [0.95, 0.95, 0.95, 0.0]
+        assert sched.one_year[(Sex.FEMALE, 1)] == 0.95
 
     def test_missing_age_rejected(self, region):
         axis = AgeAxis(2)
@@ -103,6 +121,54 @@ class TestFertilityConfig:
         cfg = FertilityConfig.flat(0.1, 1.0, sex_ratio_at_birth=1.0)
         assert cfg.male_share == 0.5
 
+    def test_band_rates_run_over_ages_15_to_49(self):
+        cfg = FertilityConfig({15: 0.01, 30: 0.2, 49: 0.03}, 1.0, 1.05)
+        band = cfg.band_rates
+        assert band.shape == (35,)
+        assert (band[0], band[15], band[34]) == (0.01, 0.2, 0.03)
+        assert np.count_nonzero(band) == 3
+        with pytest.raises(ValueError):
+            band[0] = 1.0
+
+
+class TestMultiYearSurvival:
+    """The cell-by-cell reference that the projection tests compare
+    :func:`survive_cohorts` against."""
+
+    def test_span_zero_is_empty_product(self, region, axis):
+        sched = SurvivalSchedule.flat(region, axis, 0.7)
+        assert multi_year_survival(sched, Sex.MALE, 30, 0) == 1.0
+
+    def test_identity_survival(self, region, axis):
+        sched = SurvivalSchedule.flat(region, axis, 1.0)
+        for age in (0, 17, 80):
+            assert multi_year_survival(sched, Sex.FEMALE, age, 10) == 1.0
+
+    def test_three_year_product(self, region, axis):
+        # direct product: 0.9 * 0.9 * 0.9
+        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        got = multi_year_survival(sched, Sex.MALE, 20, 3)
+        assert got == pytest.approx(0.729, rel=1e-12)
+
+    def test_age_out_of_axis(self, region, axis):
+        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        with pytest.raises(DomainError):
+            multi_year_survival(sched, Sex.MALE, 101, 1)
+        with pytest.raises(DomainError):
+            multi_year_survival(sched, Sex.MALE, -1, 1)
+
+    def test_span_past_last_age(self, region, axis):
+        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        with pytest.raises(DomainError):
+            multi_year_survival(sched, Sex.MALE, 95, 7)
+        # to exactly omega+1 is allowed and passes through s(omega) = 0
+        assert multi_year_survival(sched, Sex.MALE, 95, 6) == 0.0
+
+    def test_negative_span(self, region, axis):
+        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        with pytest.raises(DomainError):
+            multi_year_survival(sched, Sex.MALE, 20, -1)
+
 
 class TestPyramidBasics:
     def test_totals_by_sex(self, region):
@@ -125,6 +191,24 @@ class TestPyramidBasics:
         assert dense.present.all()
         assert dense.count(Sex.FEMALE, 2) == 9.0
         assert dense.total() == 9.0
+
+    def test_negative_and_non_finite_counts_are_representable(self, region):
+        # the loaders reject bad input; the container keeps what it is given
+        cells = {(Sex.MALE, 1): -1.0, (Sex.FEMALE, 2): math.nan}
+        pyr = AgePyramid(region, 2011, AgeAxis(3), cells)
+        assert pyr.count(Sex.MALE, 1) == -1.0
+        assert math.isnan(pyr.count(Sex.FEMALE, 2))
+
+    def test_counts_iterate_in_sex_then_age_order(self, region):
+        cells = {(Sex.MALE, 0): 1.0, (Sex.FEMALE, 3): 2.0, (Sex.FEMALE, 1): 3.0}
+        pyr = AgePyramid(region, 2011, AgeAxis(3), cells)
+        assert list(pyr.counts) == [(Sex.FEMALE, 1), (Sex.FEMALE, 3), (Sex.MALE, 0)]
+        assert len(pyr.counts) == 3
+        assert dict(pyr.counts) == cells
+
+    def test_from_array_shape_checked(self, region):
+        with pytest.raises(DomainError, match=r"must have shape \(2, 4\), got \(2, 3\)"):
+            AgePyramid.from_array(region, 2011, AgeAxis(3), np.zeros((2, 3)))
 
     def test_total_adds_in_sex_then_age_order(self, region):
         # 1 + 1 + 1e16 is 1e16 + 2, but 1e16 + 1 + 1 rounds back to 1e16

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uidforge import (
     AgeAxis,
+    AgePyramid,
     AllocationError,
     CoverageConfig,
     DomainError,
@@ -75,6 +77,13 @@ class TestOmissionAdjustment:
         assert out.total() == pytest.approx(1_000_000.0, rel=1e-12)
         assert out.present.all()
 
+    def test_sparse_pyramid_stays_sparse(self, region, axis):
+        pyr = AgePyramid(region, 2011, axis, {(Sex.FEMALE, 20): 980.0})
+        out = apply_omission_adjustment(pyr, CoverageConfig(omission_per_1000=20.0))
+        assert np.array_equal(out.present, pyr.present)
+        assert list(out.counts) == [(Sex.FEMALE, 20)]
+        assert out.count(Sex.FEMALE, 20) == pytest.approx(1000.0, rel=1e-12)
+
     def test_fortynine_per_thousand(self, region, axis):
         pyr = dense_pyramid(region, 2011, axis, male={30: 951000.0})
         out = apply_omission_adjustment(pyr, CoverageConfig(omission_per_1000=49.0))
@@ -145,6 +154,15 @@ class TestAllocateUnknownAge:
         cfg = CoverageConfig(unknown_age_counts={Sex.FEMALE: 2.0})
         out = allocate_unknown_age(pyr, cfg)
         assert out.count(Sex.MALE, 20) == 10.0
+
+    def test_sparse_pyramid_stays_sparse(self, region, axis):
+        cells = {(Sex.FEMALE, 20): 30.0, (Sex.FEMALE, 40): 10.0, (Sex.MALE, 5): 4.0}
+        pyr = AgePyramid(region, 2011, axis, cells)
+        cfg = CoverageConfig(unknown_age_counts={Sex.FEMALE: 8.0, Sex.MALE: 1.0})
+        out = allocate_unknown_age(pyr, cfg)
+        assert np.array_equal(out.present, pyr.present)
+        assert list(out.counts) == list(pyr.counts)
+        assert out.total() == pytest.approx(53.0, rel=1e-12)
 
 
 class TestRegionPartitionCommutation:

@@ -8,6 +8,7 @@ from uidforge import (
     AgePyramid,
     DomainError,
     FertilityConfig,
+    ProjectionSeries,
     RegionId,
     Sex,
     SurvivalSchedule,
@@ -290,6 +291,64 @@ class TestSurviveCohorts:
         with pytest.raises(DomainError):
             survive_cohorts(pop, unit_survival, 0)
 
+    def test_output_is_dense_over_the_axis(self, region, axis, unit_survival):
+        pop = AgePyramid(region, 2011, axis, {(Sex.FEMALE, 20): 7.0})
+        out = survive_cohorts(pop, unit_survival, 2)
+        assert out.present.all()
+        assert out.count(Sex.FEMALE, 22) == out.total() == 7.0
+
+
+class TestAgeGroupSurvivors:
+    """The survivors of an age group are the sum of its survived cohorts."""
+
+    def test_width_one_equals_single_cohort(self, region, axis):
+        sched = SurvivalSchedule.flat(region, axis, 0.95)
+        pop = dense_pyramid(region, 0, axis, female={20: 150.0})
+        out = survive_cohorts(pop, sched, 5)
+        assert out.count(Sex.FEMALE, 25) == pytest.approx(150.0 * 0.95**5, rel=1e-12)
+        assert out.total() == out.count(Sex.FEMALE, 25)
+
+    def test_identity_survival_preserves_group_total(self, region, axis, unit_survival):
+        pop = dense_pyramid(region, 0, axis, female={20: 100.0, 21: 200.0, 22: 50.0})
+        out = survive_cohorts(pop, unit_survival, 30)
+        assert out.array[Sex.FEMALE.row, 50:53].tolist() == [100.0, 200.0, 50.0]
+
+    def test_two_cell_hand_value(self, region, axis):
+        # 100 * 0.81 + 200 * 0.81 = 243
+        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        pop = dense_pyramid(region, 0, axis, female={20: 100.0, 21: 200.0})
+        group = survive_cohorts(pop, sched, 2).array[Sex.FEMALE.row, 22:24].sum()
+        assert group == pytest.approx(243.0, rel=1e-12)
+
+    def test_equals_sum_of_survived_cohorts_both_sexes(self, region, axis):
+        cells = {(s, a): 0.99 - a / 200.0 for s in Sex for a in axis.ages()}
+        for a in axis.ages():
+            cells[(Sex.MALE, a)] -= 0.004
+        cells[(Sex.FEMALE, 100)] = cells[(Sex.MALE, 100)] = 0.0
+        sched = SurvivalSchedule(region, axis, cells)
+        pop = dense_pyramid(
+            region,
+            0,
+            axis,
+            female={30: 10.0, 31: 20.0, 32: 30.0, 33: 40.0},
+            male={30: 5.0, 31: 15.0, 32: 25.0, 33: 35.0},
+        )
+        group = survive_cohorts(pop, sched, 6).array[:, 36:40].sum()
+        independent_sum = sum(
+            pop.count(sex, a) * multi_year_survival(sched, sex, a, 6)
+            for sex in Sex
+            for a in range(30, 34)
+        )
+        assert group == pytest.approx(independent_sum, rel=1e-12)
+
+    def test_cohorts_past_the_last_age_are_gone(self, region, axis):
+        # 95..97 reach 98..100 at 0.9**3; 98 would reach 101
+        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        pop = dense_pyramid(region, 0, axis, female={95: 1.0, 96: 2.0, 97: 4.0, 98: 8.0})
+        out = survive_cohorts(pop, sched, 3)
+        assert out.array[Sex.FEMALE.row, 98:] == pytest.approx([0.729, 1.458, 2.916], rel=1e-12)
+        assert out.total() == pytest.approx(7.0 * 0.729, rel=1e-12)
+
 
 class TestProjectPopulation:
     def test_horizon_zero_returns_input_only(self, region, axis, unit_survival, fert_flat):
@@ -347,6 +406,27 @@ class TestProjectPopulation:
             assert frame.region == region
             assert frame.axis == axis
             assert frame.time_label == 2011 + k
+
+    def test_negative_frame_index_counts_from_the_end(
+        self, region, axis, unit_survival, fert_flat
+    ):
+        pop = dense_pyramid(region, 2011, axis, female={20: 10.0})
+        series = project_population(pop, unit_survival, fert_flat, 3)
+        assert series.frame(-1) == series.frames[3]
+        assert series.frame(-1).time_label == 2014
+        with pytest.raises(IndexError):
+            series.frame(4)
+
+    def test_series_counts_are_read_only(self, region, axis, unit_survival, fert_flat):
+        pop = dense_pyramid(region, 2011, axis, female={20: 10.0})
+        series = project_population(pop, unit_survival, fert_flat, 2)
+        with pytest.raises(ValueError):
+            series.counts[0, 0, 0] = 1.0
+
+    def test_series_shape_checked(self, region):
+        shape_error = r"\(horizon\+1, 2, 6\) array, got shape \(3, 2, 5\)$"
+        with pytest.raises(DomainError, match=shape_error):
+            ProjectionSeries(region, 2011, AgeAxis(5), np.zeros((3, 2, 5)))
 
     def test_negative_horizon_rejected(self, region, axis, unit_survival, fert_flat):
         pop = dense_pyramid(region, 2011, axis)
