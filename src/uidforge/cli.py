@@ -265,7 +265,7 @@ def _cmd_demand(cfg: RunConfig) -> int:
     )
     out = _ensure_out_dir(cfg)
     emit_demand_csv(series, out / "demand.csv")
-    if len(series.rows) >= 2:
+    if len(series.years) >= 2:
         render_series_chart(series, out / "demand.svg")
     else:
         print("demand: skipping chart (needs at least 2 rows)", file=sys.stderr)

@@ -14,6 +14,7 @@ into that array, and a cell off the axis is a ``DomainError``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Mapping
@@ -97,6 +98,10 @@ def require_finite_nonnegative(name: str, value) -> None:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+#: the all-true mask of each shape, shared by the dense Cells
+_all_present = functools.cache(lambda shape: np.ones(shape, dtype=bool))
+
+
 class Cells(Mapping):
     """Read-only (sex, age) -> value mapping over a float64 ``(2, n_ages)``
     ``array`` and its ``present`` mask (default: every cell); absent cells
@@ -105,7 +110,7 @@ class Cells(Mapping):
     __slots__ = ("array", "present")
 
     def __init__(self, array: np.ndarray, present: np.ndarray | None = None):
-        present = np.ones(array.shape, dtype=bool) if present is None else present
+        present = _all_present(array.shape) if present is None else present
         array.flags.writeable = present.flags.writeable = False
         self.array, self.present = array, present
 

@@ -461,12 +461,10 @@ def _format_worker(conn, inherited):
 
 def emit_demand_csv(series: DemandSeries, path):
     """Write the demand series with counts rounded half to even."""
+    columns = (series.years, series.new_male, series.new_female, series.returned)
     lines = [",".join(DEMAND_HEADER) + "\n"]
-    for row in series.rows:
-        lines.append(
-            f"{row.year},{round(row.new_cards_male)},"
-            f"{round(row.new_cards_female)},{round(row.returned_cards)}\n"
-        )
+    for year, male, female, returned in zip(*(c.tolist() for c in columns)):
+        lines.append(f"{year},{round(male)},{round(female)},{round(returned)}\n")
     write_file(path, lines)
 
 
@@ -492,13 +490,11 @@ _MARGIN_BOTTOM = 60
 def render_series_chart(series: DemandSeries, path):
     """Write a standalone SVG line chart of annual male and female new
     cards. Output bytes are a pure function of the series."""
-    if len(series.rows) < 2:
+    if len(series.years) < 2:
         raise InsufficientDataError(
-            f"chart needs at least 2 rows, series has {len(series.rows)}"
+            f"chart needs at least 2 rows, series has {len(series.years)}"
         )
-    years = [row.year for row in series.rows]
-    male = [row.new_cards_male for row in series.rows]
-    female = [row.new_cards_female for row in series.rows]
+    years, male, female = (c.tolist() for c in (series.years, series.new_male, series.new_female))
 
     y_max = max(male + female)
     y_min = 0.0

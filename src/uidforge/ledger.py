@@ -1,10 +1,14 @@
 """Card-flow accounting: macro (rate x population) and micro (event
 count) models of annual card change, and the card simulation behind the
-annual new-card requirement series. The simulation takes one state's
-deaths from :func:`~uidforge.projection.deaths_by_age` and runs two
-steps a year on its integer ledger: :func:`age15_transition` turns child
-links into cards, and :func:`process_card_returns` books the cards
-returned and the links released.
+annual new-card requirement series. The simulation books every year of
+one state's projection at once: each year's flows are rounded half to
+even into int64, the card and link stocks are their running totals, and
+a count or total past the int64 range is a DomainError, never a wrapped
+integer. :func:`age15_transition` (child links become cards) and
+:func:`process_card_returns` (cards returned, links released) are one
+year of it on Python ints. They stay public: the benchmark's tracer
+wraps them by name, and the first year that overdraws the ledger is
+replayed through them, so it fails with their ConsistencyError.
 
 Modeling note inherited from the source formulas: an interstate mover
 counts as new-card demand in the receiving state (re-registration), so
@@ -138,25 +142,39 @@ class DemandRow:
         return self.new_cards_male + self.new_cards_female
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemandSeries:
-    """Annual expected new-card and returned-card counts.
+    """Annual expected new-card and returned-card counts: one entry per
+    year in each of four 1-D arrays of equal length.
 
     Values are expected-value reals; they are rounded (half to even)
     only when written out.
     """
 
-    start_year: int
-    rows: tuple
+    years: np.ndarray
+    new_male: np.ndarray
+    new_female: np.ndarray
+    returned: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        for i, row in enumerate(self.rows):
-            if row.year != self.start_year + i:
+        years = np.asarray(self.years, dtype=np.int64)
+        if years.ndim != 1 or (np.diff(years) != 1).any():
+            raise DomainError(f"years must be consecutive, got {years.tolist()}")
+        object.__setattr__(self, "years", years)
+        for name in ("new_male", "new_female", "returned"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if values.shape != years.shape or not (np.isfinite(values) & (values >= 0)).all():
                 raise DomainError(
-                    f"rows must be consecutive years from {self.start_year}; "
-                    f"row {i} has year {row.year}"
+                    f"DemandSeries.{name} must be finite and >= 0 in each of "
+                    f"{years.size} years, got {values.tolist()}"
                 )
+            object.__setattr__(self, name, values)
+
+    @property
+    def rows(self) -> tuple:
+        """The series as one :class:`DemandRow` per year."""
+        columns = (self.years, self.new_male, self.new_female, self.returned)
+        return tuple(map(DemandRow, *(c.tolist() for c in columns)))
 
 
 def macro_net_card_change(flows: Sequence[StateRates]) -> float:
@@ -269,6 +287,81 @@ def process_card_returns(
     return returns, child_returns
 
 
+def _running_totals(start: float, *flows: np.ndarray) -> np.ndarray:
+    """``start`` and then the total at the end of each year, adding the
+    year's ``flows`` in turn, every term rounded half to even into int64.
+    Each term must lie in 0 .. 2**63 - 1; then a total past the int64
+    range shows as a negative partial sum."""
+    terms = np.rint(np.concatenate(([start], np.column_stack(flows).ravel())))
+    bad = (terms < 0) | (terms >= 2.0**63)
+    if bad.any():
+        raise DomainError(f"card count {terms[bad].item(0)!r} is outside the int64 range")
+    totals = terms.astype(np.int64).cumsum()
+    if totals.min() < 0:
+        raise DomainError("card totals over the horizon exceed the int64 range")
+    return totals[:: len(flows)]
+
+
+def _simulate(pop, survival, fert, flows, horizon, policy):
+    """The demand series and the ledger as arrays ``(active, issued,
+    returned, links)``, entry 0 the start and entry k the end of year k."""
+    if horizon < 1:
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    cards_at_birth = policy is IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH
+    male, female = Sex.MALE.row, Sex.FEMALE.row
+    # male ages first, then female ages: the order of iterating Sex
+    cells = pop.array
+    under15 = sum(cells[male, :CARD_AGE].tolist() + cells[female, :CARD_AGE].tolist())
+    over15 = sum(cells[male, CARD_AGE:].tolist() + cells[female, CARD_AGE:].tolist())
+    if cards_at_birth:
+        # everyone already holds a card; nothing rides on a linkage
+        under15, over15 = 0.0, under15 + over15
+    half_inflow = sum(f.interstate_in + f.immigration for f in flows) / 2.0
+    outflow = sum(f.interstate_out + f.emigration for f in flows)
+
+    series = project_population(pop, survival, fert, horizon)
+    s = survival.array
+    frames, newborn = series.counts[:-1], series.counts[1:, :, 0]
+    deaths = deaths_by_age(frames, s)
+    if cards_at_birth:
+        returned = deaths.sum(axis=(1, 2)) + outflow
+        released = np.zeros(horizon)
+        age15 = np.zeros((horizon, 2))
+    else:
+        returned = deaths[..., CARD_AGE:].sum(axis=(1, 2)) + outflow
+        released = deaths[..., :CARD_AGE].sum(axis=(1, 2))
+        age15 = frames[..., CARD_AGE - 1] * s[:, CARD_AGE - 1]
+    if policy is IssuancePolicy.AT_AGE_ONE:
+        newborn = newborn * fert.infant_survival
+    at15 = age15[:, male] + age15[:, female]
+    born = newborn + half_inflow
+    linked = np.zeros(horizon) if cards_at_birth else newborn[:, male] + newborn[:, female]
+    for v in (np.array([over15, under15]), at15, born, returned, released, linked):
+        if not np.isfinite(v).all():
+            raise DomainError(f"card count {v[~np.isfinite(v)].item(0)!r} is not finite")
+
+    # a year's age-15 cards use up links, then cards are returned and
+    # links released, then births and in-migrants add cards and links
+    cards_in = _running_totals(over15, at15, born[:, male], born[:, female])
+    cards_out = _running_totals(0.0, returned)
+    links_in = _running_totals(under15, linked)
+    links_out = _running_totals(0.0, at15, released)
+    short = (cards_in[:-1] < cards_out[1:]) | (links_in[:-1] < links_out[1:])
+    if short.any():
+        # the public steps raise the first short year's error
+        k = int(short.argmax())
+        links = int(links_in[k] - links_out[k])
+        links -= age15_transition(at15.item(k), links)
+        active = int(cards_in[k] - cards_out[k])
+        process_card_returns(returned.item(k), released.item(k), active, links)
+
+    new = newborn + age15 + half_inflow
+    years = np.arange(pop.time_label + 1, pop.time_label + horizon + 1)
+    demand = DemandSeries(years, new[:, male], new[:, female], returned)
+    issued, returns = np.diff(cards_in, prepend=cards_in[0]), np.diff(cards_out, prepend=0)
+    return demand, (cards_in - cards_out, issued, returns, links_in - links_out)
+
+
 def run_card_simulation(
     pop: AgePyramid,
     survival: SurvivalSchedule,
@@ -291,62 +384,9 @@ def run_card_simulation(
     end-of-year snapshot per year, so
     active(y) = active(y-1) + issued(y) - returned(y) holds exactly.
     """
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
-    cards_at_birth = policy is IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH
-    male, female = Sex.MALE.row, Sex.FEMALE.row
-    # male ages first, then female ages: the order of iterating Sex
-    cells = pop.array
-    under15 = sum(cells[male, :CARD_AGE].tolist() + cells[female, :CARD_AGE].tolist())
-    over15 = sum(cells[male, CARD_AGE:].tolist() + cells[female, CARD_AGE:].tolist())
-    if cards_at_birth:
-        # everyone already holds a card; nothing rides on a linkage
-        under15, over15 = 0.0, under15 + over15
-    active, links = _round_half_even(over15), _round_half_even(under15)
-    ledgers = [CardLedger(pop.region, pop.time_label, active, child_links=links)]
-    half_inflow = sum(f.interstate_in + f.immigration for f in flows) / 2.0
-    outflow = sum(f.interstate_out + f.emigration for f in flows)
-
-    series = project_population(pop, survival, fert, horizon)
-    s = survival.array
-    frames, newborn = series.counts[:-1], series.counts[1:, :, 0]
-    deaths = deaths_by_age(frames, s)
-    if cards_at_birth:
-        returned = deaths.sum(axis=(1, 2)) + outflow
-        released = np.zeros(horizon)
-        age15 = np.zeros((horizon, 2))
-    else:
-        returned = deaths[..., CARD_AGE:].sum(axis=(1, 2)) + outflow
-        released = deaths[..., :CARD_AGE].sum(axis=(1, 2))
-        age15 = frames[..., CARD_AGE - 1] * s[:, CARD_AGE - 1]
-    if policy is IssuancePolicy.AT_AGE_ONE:
-        newborn = newborn * fert.infant_survival
-
-    rows = []
-    years = range(pop.time_label + 1, pop.time_label + horizon + 1)
-    steps = zip(years, newborn.tolist(), age15.tolist(), returned.tolist(), released.tolist())
-    for year, born, at15, out_cards, out_links in steps:
-        issued = age15_transition(at15[male] + at15[female], links)
-        links -= issued
-        returns, links_released = process_card_returns(out_cards, out_links, active, links)
-        active -= returns
-        links -= links_released
-        rows.append(
-            DemandRow(
-                year=year,
-                new_cards_male=born[male] + at15[male] + half_inflow,
-                new_cards_female=born[female] + at15[female] + half_inflow,
-                returned_cards=out_cards,
-            )
-        )
-        issued += _round_half_even(born[male] + half_inflow)
-        issued += _round_half_even(born[female] + half_inflow)
-        if not cards_at_birth:
-            links += _round_half_even(born[male] + born[female])
-        active += issued
-        ledgers.append(CardLedger(pop.region, year, active, issued, returns, links))
-
-    return DemandSeries(pop.time_label + 1, tuple(rows)), ledgers
+    series, ledger = _simulate(pop, survival, fert, flows, horizon, policy)
+    rows = enumerate(zip(*(a.tolist() for a in ledger)), start=pop.time_label)
+    return series, [CardLedger(pop.region, year, *row) for year, row in rows]
 
 
 def annual_card_requirement_series(
@@ -359,5 +399,4 @@ def annual_card_requirement_series(
 ) -> DemandSeries:
     """Annual numbers of cards newly required by sex, plus returns, for
     ``horizon`` years after the pyramid's reference year."""
-    series, _ = run_card_simulation(pop, survival, fert, flows, horizon, policy)
-    return series
+    return _simulate(pop, survival, fert, flows, horizon, policy)[0]

@@ -21,7 +21,10 @@ functions: :func:`project_population` steps each year with
 :func:`project_births`, whose ``(2,)`` array of births by sex goes into
 age 0, and :func:`survive_cohorts`, on pyramids whose counts read
 straight from the array; the card ledger takes the deaths of all its
-frames at once from :func:`deaths_by_age`.
+frames at once from :func:`deaths_by_age`. The loop keeps calling the
+two public functions once a year, although a plain array loop would be
+cheaper, because the benchmark's tracer times the births and cohort-step
+layers at those names.
 Cells are validated where data enters (the CSV loaders), not re-checked
 here.
 A :class:`ProjectionSeries` keeps all frames in one
@@ -49,6 +52,8 @@ from .core import (
 from .errors import DomainError
 
 _BAND = slice(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)
+_BAND_AGES = REPRODUCTIVE_AGE_MAX + 1 - REPRODUCTIVE_AGE_MIN
+_FEMALE = Sex.FEMALE.row
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +97,11 @@ def _check_axes(pop: AgePyramid, survival: SurvivalSchedule):
 
 
 def _check_reproductive_cells(pop: AgePyramid):
-    if pop.axis.max_age >= REPRODUCTIVE_AGE_MAX and pop.present[Sex.FEMALE.row, _BAND].all():
+    female = pop.present[_FEMALE]
+    if pop.axis.max_age >= REPRODUCTIVE_AGE_MAX and np.count_nonzero(female[_BAND]) == _BAND_AGES:
         return
     # ages beyond a short axis are missing too
-    female = pop.present[Sex.FEMALE.row].tolist()
+    female = female.tolist()
     band = range(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)
     missing = [x for x in band if x >= len(female) or not female[x]]
     raise DomainError(f"pyramid lacks female counts at reproductive ages {missing}")
@@ -111,9 +117,10 @@ def deaths_by_age(counts: np.ndarray, survival: np.ndarray) -> np.ndarray:
 def _births(counts: np.ndarray, survival: np.ndarray, fert: FertilityConfig) -> np.ndarray:
     """:func:`project_births` from ``(2, n_ages)`` counts and survival;
     the terms are accumulated in age order, 15 first."""
-    f = Sex.FEMALE.row
-    terms = survival[f, _BAND] * counts[f, _BAND] * fert.band_rates * fert.eligible_proportion
-    total = float(np.cumsum(terms)[-1])
+    terms = survival[_FEMALE, _BAND] * counts[_FEMALE, _BAND]
+    terms *= fert.band_rates
+    terms *= fert.eligible_proportion
+    total = np.add.accumulate(terms).item(-1)
     male = total * fert.male_share
     return np.array([total - male, male])
 
@@ -125,8 +132,9 @@ def _survive(counts: np.ndarray, survival: np.ndarray, span: int) -> np.ndarray:
     factor = survival[..., : n - span]
     for k in range(1, span):
         factor = factor * survival[..., k : n - span + k]
-    out = np.zeros_like(counts)
-    out[..., span:] = counts[..., : n - span] * factor
+    out = np.empty_like(counts)
+    out[..., :span] = 0.0
+    np.multiply(counts[..., : n - span], factor, out=out[..., span:])
     return out
 
 
@@ -189,8 +197,9 @@ def project_population(
     frame = pop
     for k in range(1, horizon + 1):
         births = project_births(frame, survival, fert)
-        counts[k] = survive_cohorts(frame, survival, 1).array
-        counts[k, :, 0] = births
-        frame = AgePyramid(pop.region, pop.time_label + k, pop.axis, Cells(counts[k]))
+        step = counts[k]
+        step[...] = survive_cohorts(frame, survival, 1).array
+        step[:, 0] = births
+        frame = AgePyramid(pop.region, pop.time_label + k, pop.axis, Cells(step))
     return ProjectionSeries(pop.region, pop.time_label, pop.axis, counts)
 

@@ -343,6 +343,19 @@ class TestDemandCommand:
         assert not (inputs["out"] / "demand.csv").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "cells",
+        [{20: 1e19}, {20: 4.5e18, 30: 4.5e18}],
+        ids=["stock-beyond-int64", "running-total-beyond-int64"],
+    )
+    def test_finite_counts_beyond_int64_fail_in_one_line(self, inputs, tmp_path, capsys, cells):
+        # 9e18 starting cards fit in int64; the first year's births push past
+        inputs["population"] = write_population(tmp_path / "huge.csv", female=cells)
+        assert main(self.demand_args(inputs)) == 1
+        assert "int64" in assert_one_line_error(capsys, "demand")
+        assert not (inputs["out"] / "demand.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_projection_fails_in_one_line(self, inputs, tmp_path, capsys):
         # unit survival turns the infinite newborn counts into inf * 0 deaths
         inputs["population"] = write_population(tmp_path / "huge.csv", female={20: 1e300})

@@ -8,6 +8,7 @@ from uidforge import (
     AgePyramid,
     CoverageConfig,
     DemandRow,
+    DemandSeries,
     DomainError,
     FertilityConfig,
     RegionId,
@@ -272,12 +273,17 @@ _COUNTS = dict(
 )
 _RATES = dict(population=1e6, birth_rate=0.02, death_rate=0.01, in_rate=0.0, out_rate=0.0)
 _DEMAND = dict(new_cards_male=1.0, new_cards_female=1.0, returned_cards=0.0)
+_SERIES = dict(new_male=[1.0], new_female=[1.0], returned=[0.0])
 
 # (record.field, build(value)) for every number the shared validator guards
 _VALIDATED = (
     [(f"StateFlows.{n}", lambda v, n=n: StateFlows(_STATE, **{**_COUNTS, n: v})) for n in _COUNTS]
     + [(f"StateRates.{n}", lambda v, n=n: StateRates(_STATE, **{**_RATES, n: v})) for n in _RATES]
     + [(f"DemandRow.{n}", lambda v, n=n: DemandRow(2012, **{**_DEMAND, n: v})) for n in _DEMAND]
+    + [
+        (f"DemandSeries.{n}", lambda v, n=n: DemandSeries([2012], **{**_SERIES, n: [v]}))
+        for n in _SERIES
+    ]
     + [
         ("CoverageConfig.unknown_M", lambda v: CoverageConfig(unknown_age_counts={Sex.MALE: v})),
         ("CoverageConfig.unknown_F", lambda v: CoverageConfig(unknown_age_counts={Sex.FEMALE: v})),

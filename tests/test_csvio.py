@@ -16,7 +16,6 @@ from uidforge import (
     AgePyramid,
     ConsistencyError,
     DataError,
-    DemandRow,
     DemandSeries,
     DomainError,
     InsufficientDataError,
@@ -252,45 +251,45 @@ class TestLoadFlows:
             load_flows_csv(path)
 
 
-class TestEmitDemand:
-    def series(self, rows):
-        return DemandSeries(rows[0].year if rows else 2012, tuple(rows))
+def demand_series(rows):
+    """A DemandSeries over ``(year, male, female, returned)`` rows."""
+    years, male, female, returned = zip(*rows) if rows else ((),) * 4
+    return DemandSeries(years, male, female, returned)
 
+
+class TestEmitDemand:
     def test_empty_series_writes_header_only(self, tmp_path):
         path = tmp_path / "demand.csv"
-        emit_demand_csv(self.series([]), path)
+        emit_demand_csv(demand_series([]), path)
         assert path.read_bytes() == b"year,new_cards_male,new_cards_female,returned_cards\n"
 
     def test_rounding_is_half_to_even(self, tmp_path):
-        rows = [
-            DemandRow(2012, 2.5, 3.5, 0.5),
-            DemandRow(2013, 176.2, 272.9, 97.0),
-        ]
+        rows = [(2012, 2.5, 3.5, 0.5), (2013, 176.2, 272.9, 97.0)]
         path = tmp_path / "demand.csv"
-        emit_demand_csv(self.series(rows), path)
+        emit_demand_csv(demand_series(rows), path)
         lines = path.read_text().splitlines()
         assert lines[1] == "2012,2,4,0"
         assert lines[2] == "2013,176,273,97"
 
     def test_reemission_is_byte_identical(self, tmp_path):
-        rows = [DemandRow(2012, 10.2, 11.7, 3.0), DemandRow(2013, 9.9, 12.1, 4.0)]
+        rows = [(2012, 10.2, 11.7, 3.0), (2013, 9.9, 12.1, 4.0)]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_demand_csv(self.series(rows), a)
-        emit_demand_csv(self.series(rows), b)
+        emit_demand_csv(demand_series(rows), a)
+        emit_demand_csv(demand_series(rows), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_unwritable_path_is_io_error(self, tmp_path):
         with pytest.raises(ParseError, match="cannot write"):
-            emit_demand_csv(self.series([]), tmp_path / "missing_dir" / "demand.csv")
+            emit_demand_csv(demand_series([]), tmp_path / "missing_dir" / "demand.csv")
 
 
 class TestRenderChart:
-    def rows(self, n):
-        return [DemandRow(2012 + k, 100.0 + k, 90.0 + 2 * k, 5.0) for k in range(n)]
+    def series(self, n):
+        return demand_series([(2012 + k, 100.0 + k, 90.0 + 2 * k, 5.0) for k in range(n)])
 
     def test_two_rows_give_two_polylines(self, tmp_path):
         path = tmp_path / "chart.svg"
-        render_series_chart(DemandSeries(2012, tuple(self.rows(2))), path)
+        render_series_chart(self.series(2), path)
         text = path.read_text()
         assert text.count("<polyline") == 2
         assert text.startswith("<?xml")
@@ -298,18 +297,18 @@ class TestRenderChart:
 
     def test_single_row_rejected(self, tmp_path):
         with pytest.raises(InsufficientDataError):
-            render_series_chart(DemandSeries(2012, tuple(self.rows(1))), tmp_path / "c.svg")
+            render_series_chart(self.series(1), tmp_path / "c.svg")
 
     def test_identical_input_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        series = DemandSeries(2012, tuple(self.rows(5)))
+        series = self.series(5)
         render_series_chart(series, a)
         render_series_chart(series, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_ten_year_series_has_ten_points_per_line(self, tmp_path):
         path = tmp_path / "chart.svg"
-        render_series_chart(DemandSeries(2012, tuple(self.rows(10))), path)
+        render_series_chart(self.series(10), path)
         text = path.read_text()
         for line in text.splitlines():
             if "<polyline" in line:
