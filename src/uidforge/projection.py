@@ -101,7 +101,6 @@ def _check_reproductive_cells(pop: AgePyramid):
     if pop.axis.max_age >= REPRODUCTIVE_AGE_MAX and np.count_nonzero(female[_BAND]) == _BAND_AGES:
         return
     # ages beyond a short axis are missing too
-    female = female.tolist()
     band = range(REPRODUCTIVE_AGE_MIN, REPRODUCTIVE_AGE_MAX + 1)
     missing = [x for x in band if x >= len(female) or not female[x]]
     raise DomainError(f"pyramid lacks female counts at reproductive ages {missing}")

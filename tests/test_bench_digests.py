@@ -71,8 +71,8 @@ def gen():
 
 @pytest.mark.parametrize("workload, seed, index", JOBS, ids=[job_key(*j) for j in JOBS])
 def test_outputs_match_recorded_digests(gen, tmp_path, workload, seed, index):
-    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert job_digests(gen, workload, seed, index, tmp_path) == recorded[job_key(workload, seed, index)]
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))[job_key(workload, seed, index)]
+    assert job_digests(gen, workload, seed, index, tmp_path) == recorded
 
 
 if __name__ == "__main__":

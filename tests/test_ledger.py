@@ -240,7 +240,7 @@ class TestDemandSeries:
             DemandSeries([2012, 2013], [1.0, 1.0], [1.0, 1.0], [0.0, -1.0])
 
     def test_columns_must_match_the_years(self):
-        with pytest.raises(DomainError, match="new_female must be finite and >= 0 in each of 2 years"):
+        with pytest.raises(DomainError, match="new_female must be finite and >= 0 in each of 2"):
             DemandSeries([2012, 2013], [1.0, 1.0], [1.0], [0.0, 0.0])
 
     def test_rows_view_the_arrays(self):
@@ -395,7 +395,7 @@ class TestCardSimulation:
         pop = dense_pyramid(region, 2011, axis, female={20: 4.5e18}, male={20: 4.5e18})
         _, ledgers = run_card_simulation(pop, sched, FertilityConfig({}, 1.0, 1.0), [], 1, policy)
         assert ledgers[1].active_cards + ledgers[1].child_links == 9 * 10**18
-        with pytest.raises(DomainError, match="card totals over the horizon exceed the int64 range"):
+        with pytest.raises(DomainError, match="card totals over the horizon exceed the int64"):
             run_card_simulation(pop, sched, fert, [], 1, policy)
 
     def test_horizon_below_one_rejected(self, region):
