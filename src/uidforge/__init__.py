@@ -52,8 +52,6 @@ from .errors import (
     UndefinedEstimateError,
 )
 from .ledger import (
-    CardLedger,
-    DemandRow,
     DemandSeries,
     IssuancePolicy,
     StateFlows,

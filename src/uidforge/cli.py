@@ -319,7 +319,8 @@ def main(argv=None) -> int:
         print(f"uidforge {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print(f"uidforge {args.command}: error: out of memory: {exc}", file=sys.stderr)
+        reason = f": {exc}" if str(exc) else ""
+        print(f"uidforge {args.command}: error: out of memory{reason}", file=sys.stderr)
         return 1
 
 

@@ -5,11 +5,13 @@ All types are immutable after construction and safe to share between
 threads; every operation in this package is a pure function of them.
 Pyramids and survival schedules hold their cells in a read-only float64
 array of shape ``(2, n_ages)``, rows in :data:`SEX_ROWS` order, with a
-mask of the cells present (:class:`Cells`). The CSV loaders fill that
-array directly, the projection and coverage arithmetic run on it, and
-``AgePyramid.counts`` / ``SurvivalSchedule.one_year`` are (sex, age)
-mapping views of it. A mapping given to either constructor is copied
-into that array, and a cell off the axis is a ``DomainError``.
+mask of the cells present (:class:`Cells`, which ``AgePyramid.counts``
+and ``SurvivalSchedule.one_year`` hold). The CSV loaders fill that array
+directly and the projection and coverage arithmetic run on it; a cell is
+read from the array, or by ``AgePyramid.count``. A (sex, age) -> number
+mapping given to either constructor is copied into that array, and a
+cell off the axis is a ``DomainError``. An axis ends at
+:data:`MAX_AGE_LIMIT` at most.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .errors import DomainError
 #: Ages treated as reproductive for fertility purposes (inclusive range).
 REPRODUCTIVE_AGE_MIN = 15
 REPRODUCTIVE_AGE_MAX = 49
+
+#: Largest ``max_age`` an :class:`AgeAxis` takes: well past any human
+#: life, and small enough that every per-age table stays tiny.
+MAX_AGE_LIMIT = 150
 
 
 class Sex(Enum):
@@ -65,8 +71,10 @@ class AgeAxis:
     max_age: int = 100
 
     def __post_init__(self):
-        if not isinstance(self.max_age, int) or self.max_age < 1:
-            raise DomainError(f"max_age must be an integer >= 1, got {self.max_age!r}")
+        if not isinstance(self.max_age, int) or not 1 <= self.max_age <= MAX_AGE_LIMIT:
+            raise DomainError(
+                f"max_age must be an integer in 1..{MAX_AGE_LIMIT}, got {self.max_age!r}"
+            )
 
     @property
     def n_ages(self) -> int:
@@ -102,10 +110,11 @@ def require_finite_nonnegative(name: str, value) -> None:
 _all_present = functools.cache(lambda shape: np.ones(shape, dtype=bool))
 
 
-class Cells(Mapping):
-    """Read-only (sex, age) -> value mapping over a float64 ``(2, n_ages)``
-    ``array`` and its ``present`` mask (default: every cell); absent cells
-    hold 0.0. Keys run in (sex, age) order, F before M."""
+class Cells:
+    """A read-only float64 ``(2, n_ages)`` ``array`` of (sex, age) values
+    and its ``present`` mask (default: every cell); absent cells hold 0.0.
+    ``len`` counts the cells present; two Cells are equal when they hold
+    the same cells with the same values."""
 
     __slots__ = ("array", "present")
 
@@ -132,22 +141,15 @@ class Cells(Mapping):
             array[sex.row, age], present[sex.row, age] = v, True
         return cls(array, present)
 
-    def __getitem__(self, key) -> float:
-        sex, age = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
-        if isinstance(sex, Sex) and age in range(self.array.shape[1]):
-            if self.present.item(sex.row, int(age)):
-                return self.array.item(sex.row, int(age))
-        raise KeyError(key)
-
-    def __iter__(self):
-        rows, ages = np.nonzero(self.present)
-        return zip(map(SEX_ROWS.__getitem__, rows.tolist()), ages.tolist())
-
     def __len__(self) -> int:
         return np.count_nonzero(self.present)
 
-    def __repr__(self) -> str:
-        return repr(dict(self))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cells):
+            return NotImplemented
+        return np.array_equal(self.present, other.present) and np.array_equal(
+            self.array[self.present], other.array[other.present]
+        )
 
 
 @dataclass(frozen=True, eq=True)
@@ -156,19 +158,19 @@ class AgePyramid:
     point in time.
 
     Counts are expected-value reals, not integers; rounding happens only
-    at report time. ``counts`` is a :class:`Cells` view of the read-only
-    ``array`` and its ``present`` mask; a mapping given to the
-    constructor is copied into that form, and a cell off the axis is a
-    DomainError. Otherwise the container is deliberately permissive:
-    sparse cells and negative or non-finite counts are representable,
-    and the CSV loaders, not the constructor, reject bad input. Missing
-    cells read as 0.0 through :meth:`count`.
+    at report time. ``counts`` is the :class:`Cells` behind the read-only
+    ``array`` and its ``present`` mask; a (sex, age) -> number mapping
+    given to the constructor is copied into that form, and a cell off the
+    axis is a DomainError. Otherwise the container is deliberately
+    permissive: sparse cells and negative or non-finite counts are
+    representable, and the CSV loaders, not the constructor, reject bad
+    input. Missing cells read as 0.0 through :meth:`count`.
     """
 
     region: RegionId
     time_label: int
     axis: AgeAxis = field(default_factory=AgeAxis)
-    counts: Mapping = field(default_factory=dict)
+    counts: Cells | Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.counts, Cells):
@@ -186,7 +188,10 @@ class AgePyramid:
         return self.counts.present
 
     def count(self, sex: Sex, age: int) -> float:
-        return self.counts.get((sex, age), 0.0)
+        """The (sex, age) cell; 0.0 if it is absent or off the axis."""
+        if age in range(self.axis.n_ages) and self.present.item(sex.row, int(age)):
+            return self.array.item(sex.row, int(age))
+        return 0.0
 
     def total(self, sex: Sex | None = None) -> float:
         """Sum of the present cells, added in (sex, age) order."""
@@ -198,11 +203,10 @@ class AgePyramid:
         """Copy with every (sex, age) cell present, missing cells as 0.0."""
         return AgePyramid.from_array(self.region, self.time_label, self.axis, self.array)
 
-    def replace_counts(self, array: np.ndarray, present=None) -> "AgePyramid":
+    def replace_counts(self, array: np.ndarray) -> "AgePyramid":
         """Copy over a float64 ``(2, n_ages)`` ``array`` that the caller
-        no longer writes, with ``present`` (default: this mask)."""
-        mask = self.present if present is None else present
-        return AgePyramid(self.region, self.time_label, self.axis, Cells(array, mask))
+        no longer writes, with this pyramid's mask."""
+        return AgePyramid(self.region, self.time_label, self.axis, Cells(array, self.present))
 
     @classmethod
     def from_array(
@@ -220,20 +224,21 @@ class AgePyramid:
 class SurvivalSchedule:
     """One-year survival probabilities by (sex, age) for a region.
 
-    ``one_year[(sex, x)]`` is the chance that a person of age x lives to
-    age x+1; it is a :class:`Cells` view of the read-only ``array``, and
-    a mapping given to the constructor is copied into that form. The
-    schedule is dense: every age 0..max_age must be present for both
-    sexes, values lie in [0, 1], and the value at the last age of life
-    is 0. Multi-year survival is always composed from these one-year
-    factors, keeping a single source of truth; the multi-year survival
-    oracle in ``tests/oracles.py`` is the cell-by-cell reference for the
-    array arithmetic in :mod:`uidforge.projection`.
+    ``array[sex.row, x]`` is the chance that a person of age x lives to
+    age x+1; ``one_year`` is the :class:`Cells` behind that read-only
+    array, and a (sex, age) -> number mapping given to the constructor is
+    copied into that form. The schedule is dense: every age 0..max_age
+    must be present for both sexes, values lie in [0, 1], and the value
+    at the last age of life is 0. Multi-year survival is always composed
+    from these one-year factors, keeping a single source of truth; the
+    multi-year survival oracle in ``tests/oracles.py`` is the
+    cell-by-cell reference for the array arithmetic in
+    :mod:`uidforge.projection`.
     """
 
     region: RegionId
     axis: AgeAxis
-    one_year: Mapping
+    one_year: Cells | Mapping
 
     def __post_init__(self):
         cells = self.one_year

@@ -17,6 +17,7 @@ import csv
 import itertools
 import math
 import os
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -62,13 +63,13 @@ def _table(path, *headers: list[str]):
     lines and rejects a row whose field count differs from the header's.
     """
     rows = _header_then_rows(path, headers)
-    header = next(rows)
-    return header, _checked(path, header, rows)
+    header, reader = next(rows)
+    return header, _checked(path, header, reader, rows)
 
 
 def _header_then_rows(path, headers):
-    """The matching header, then the raw data rows; a read error is a
-    ParseError at line 0."""
+    """The matching header with the csv reader (for its line count), then
+    the raw data rows; a read error is a ParseError at line 0."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -77,14 +78,17 @@ def _header_then_rows(path, headers):
                 verb = "matches neither" if len(headers) > 1 else "does not match"
                 expected = " nor ".join(",".join(h) for h in headers)
                 raise ParseError(path, 1, f"header {','.join(header)!r} {verb} {expected}")
-            yield header
+            yield header, reader
             yield from reader
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}") from exc
 
 
-def _checked(path, header, rows):
-    for line_no, row in enumerate(rows, start=2):
+def _checked(path, header, reader, rows):
+    # zip reads the reader's line count before the row: the line_no of a
+    # row is the line it starts on, counting quoted fields that span lines
+    for lines, row in zip(map(attrgetter("line_num"), itertools.repeat(reader)), rows):
+        line_no = lines + 1
         if not row:
             continue
         if len(row) != len(header):

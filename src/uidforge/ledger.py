@@ -3,8 +3,11 @@ count) models of annual card change, and the card simulation behind the
 annual new-card requirement series. The simulation books every year of
 one state's projection at once: each year's flows are rounded half to
 even into int64, the card and link stocks are their running totals, and
-a count or total past the int64 range is a DomainError, never a wrapped
-integer. :func:`age15_transition` (child links become cards) and
+a count, a running total or a year label past the int64 range is a
+DomainError, never a wrapped integer. It hands back its tables as
+arrays: the demand rows (``DemandSeries.rows``) and the ledger snapshots
+are record arrays with one record per year, fields read by name.
+:func:`age15_transition` (child links become cards) and
 :func:`process_card_returns` (cards returned, links released) are one
 year of it on Python ints. They stay public: the benchmark's tracer
 wraps them by name, and the first year that overdraws the ledger is
@@ -101,45 +104,9 @@ def _require_finite_nonnegative_fields(record):
         require_finite_nonnegative(f"{owner}.{f.name}", getattr(record, f.name))
 
 
-@dataclass(frozen=True)
-class CardLedger:
-    """Card inventory of one state at the end of ``year``.
-
-    ``issued_this_year`` and ``returned_this_year`` are the year's
-    rounded flows, so ``active_cards`` is the previous snapshot's plus
-    issued minus returned; a starting snapshot has no flows.
-    ``child_links`` counts persons under 15 linked to a parent or
-    guardian number.
-    """
-
-    state: RegionId
-    year: int
-    active_cards: int
-    issued_this_year: int = 0
-    returned_this_year: int = 0
-    child_links: int = 0
-
-    def __post_init__(self):
-        for name in ("active_cards", "issued_this_year", "returned_this_year", "child_links"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise DomainError(f"CardLedger.{name} must be a non-negative integer, got {v!r}")
-
-
-@dataclass(frozen=True)
-class DemandRow:
-    year: int
-    new_cards_male: float
-    new_cards_female: float
-    returned_cards: float
-
-    def __post_init__(self):
-        for name in ("new_cards_male", "new_cards_female", "returned_cards"):
-            require_finite_nonnegative(f"DemandRow.{name}", getattr(self, name))
-
-    @property
-    def new_cards_total(self) -> float:
-        return self.new_cards_male + self.new_cards_female
+_SNAPSHOT_FIELDS = "year,active_cards,issued_this_year,returned_this_year,child_links"
+_ROW_FIELDS = "year,new_cards_male,new_cards_female,returned_cards,new_cards_total"
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +138,13 @@ class DemandSeries:
             object.__setattr__(self, name, values)
 
     @property
-    def rows(self) -> tuple:
-        """The series as one :class:`DemandRow` per year."""
-        columns = (self.years, self.new_male, self.new_female, self.returned)
-        return tuple(map(DemandRow, *(c.tolist() for c in columns)))
+    def rows(self) -> np.recarray:
+        """The series as a record array, one record per year with the
+        fields ``year``, ``new_cards_male``, ``new_cards_female``,
+        ``returned_cards`` and ``new_cards_total`` (male plus female)."""
+        total = self.new_male + self.new_female
+        columns = (self.years, self.new_male, self.new_female, self.returned, total)
+        return np.rec.fromarrays(columns, names=_ROW_FIELDS)
 
 
 def macro_net_card_change(flows: Sequence[StateRates]) -> float:
@@ -303,10 +273,17 @@ def _running_totals(start: float, *flows: np.ndarray) -> np.ndarray:
 
 
 def _simulate(pop, survival, fert, flows, horizon, policy):
-    """The demand series and the ledger as arrays ``(active, issued,
-    returned, links)``, entry 0 the start and entry k the end of year k."""
+    """The demand series and the ledger as the int64 arrays ``(years,
+    active, issued, returned, links)``, entry 0 the start and entry k the
+    end of year k."""
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
+    for year in (pop.time_label, pop.time_label + horizon):
+        if not _INT64.min <= year <= _INT64.max:
+            raise DomainError(
+                f"year {year} lies outside the int64 range {_INT64.min}..{_INT64.max}"
+            )
+    years = np.arange(pop.time_label, pop.time_label + horizon + 1, dtype=np.int64)
     cards_at_birth = policy is IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH
     male, female = Sex.MALE.row, Sex.FEMALE.row
     # male ages first, then female ages: the order of iterating Sex
@@ -330,7 +307,7 @@ def _simulate(pop, survival, fert, flows, horizon, policy):
     else:
         returned = deaths[..., CARD_AGE:].sum(axis=(1, 2)) + outflow
         released = deaths[..., :CARD_AGE].sum(axis=(1, 2))
-        age15 = frames[..., CARD_AGE - 1] * s[:, CARD_AGE - 1]
+        age15 = series.counts[1:, :, CARD_AGE]  # the survivors of age 14
     if policy is IssuancePolicy.AT_AGE_ONE:
         newborn = newborn * fert.infant_survival
     at15 = age15[:, male] + age15[:, female]
@@ -356,10 +333,9 @@ def _simulate(pop, survival, fert, flows, horizon, policy):
         process_card_returns(returned.item(k), released.item(k), active, links)
 
     new = newborn + age15 + half_inflow
-    years = np.arange(pop.time_label + 1, pop.time_label + horizon + 1)
-    demand = DemandSeries(years, new[:, male], new[:, female], returned)
+    demand = DemandSeries(years[1:], new[:, male], new[:, female], returned)
     issued, returns = np.diff(cards_in, prepend=cards_in[0]), np.diff(cards_out, prepend=0)
-    return demand, (cards_in - cards_out, issued, returns, links_in - links_out)
+    return demand, (years, cards_in - cards_out, issued, returns, links_in - links_out)
 
 
 def run_card_simulation(
@@ -369,7 +345,7 @@ def run_card_simulation(
     flows: Sequence[StateFlows],
     horizon: int,
     policy: IssuancePolicy = IssuancePolicy.AT_BIRTH,
-) -> tuple[DemandSeries, list[CardLedger]]:
+) -> tuple[DemandSeries, np.recarray]:
     """Project the population ``horizon`` years and account each year's
     card demand, returns and ledger state.
 
@@ -379,14 +355,18 @@ def run_card_simulation(
     NUMBER_AND_CARD_AT_BIRTH) the age-15 transitions, plus migration
     in-flows split evenly between the sexes; returns are the deaths of
     card holders (ages 15+, or every age under NUMBER_AND_CARD_AT_BIRTH)
-    plus migration out-flows, the same figure the ledger returns. The
-    ledger list starts with the initial ledger followed by one
-    end-of-year snapshot per year, so
-    active(y) = active(y-1) + issued(y) - returned(y) holds exactly.
+    plus migration out-flows, the same figure the ledger returns.
+
+    The snapshots are a ``(horizon + 1,)`` record array: the initial
+    ledger, then the ledger at the end of each year. Its int64 fields
+    are ``year``, ``active_cards``, ``issued_this_year``,
+    ``returned_this_year`` (the year's rounded flows; 0 at the start)
+    and ``child_links`` (persons under 15 linked to a parent or guardian
+    number), so active(y) = active(y-1) + issued(y) - returned(y) holds
+    exactly.
     """
     series, ledger = _simulate(pop, survival, fert, flows, horizon, policy)
-    rows = enumerate(zip(*(a.tolist() for a in ledger)), start=pop.time_label)
-    return series, [CardLedger(pop.region, year, *row) for year, row in rows]
+    return series, np.rec.fromarrays(ledger, names=_SNAPSHOT_FIELDS)
 
 
 def annual_card_requirement_series(

@@ -5,8 +5,6 @@ import math
 import numpy as np
 
 from uidforge import (
-    CardLedger,
-    DemandRow,
     DomainError,
     IssuancePolicy,
     Sex,
@@ -81,8 +79,10 @@ def _rounded(x: float) -> int:
 def card_ledger_oracle(pop, survival, fert, flows, horizon, policy):
     """The card simulation one year at a time on Python integers,
     through the scalar steps ``age15_transition`` and
-    ``process_card_returns``. Returns the demand rows and the ledger
-    snapshots, the starting ledger first."""
+    ``process_card_returns``. Returns the demand rows ``(year, male,
+    female, returned, total)`` and the ledger snapshots ``(year, active,
+    issued, returned, links)`` as lists of tuples, the starting ledger
+    first."""
     cards_at_birth = policy is IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH
     male, female = Sex.MALE.row, Sex.FEMALE.row
     cells = pop.array
@@ -91,7 +91,7 @@ def card_ledger_oracle(pop, survival, fert, flows, horizon, policy):
     if cards_at_birth:
         under15, over15 = 0.0, under15 + over15
     active, links = _rounded(over15), _rounded(under15)
-    ledgers = [CardLedger(pop.region, pop.time_label, active, child_links=links)]
+    ledgers = [(pop.time_label, active, 0, 0, links)]
     half_inflow = sum(f.interstate_in + f.immigration for f in flows) / 2.0
     outflow = sum(f.interstate_out + f.emigration for f in flows)
 
@@ -119,18 +119,13 @@ def card_ledger_oracle(pop, survival, fert, flows, horizon, policy):
         returns, links_released = process_card_returns(out_cards, out_links, active, links)
         active -= returns
         links -= links_released
-        rows.append(
-            DemandRow(
-                year,
-                born[male] + at15[male] + half_inflow,
-                born[female] + at15[female] + half_inflow,
-                out_cards,
-            )
-        )
+        new_male = born[male] + at15[male] + half_inflow
+        new_female = born[female] + at15[female] + half_inflow
+        rows.append((year, new_male, new_female, out_cards, new_male + new_female))
         issued += _rounded(born[male] + half_inflow)
         issued += _rounded(born[female] + half_inflow)
         if not cards_at_birth:
             links += _rounded(born[male] + born[female])
         active += issued
-        ledgers.append(CardLedger(pop.region, year, active, issued, returns, links))
+        ledgers.append((year, active, issued, returns, links))
     return rows, ledgers

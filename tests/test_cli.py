@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uidforge import DomainError, RegionId, RegionLevel, StateRates, counts_from_rates
+from uidforge import cli
 from uidforge.cli import _OPTIONS, RunConfig, _as_path, _build_parser, _run_config, main
 
 
@@ -355,6 +356,21 @@ class TestDemandCommand:
         assert "int64" in assert_one_line_error(capsys, "demand")
         assert not (inputs["out"] / "demand.csv").exists()
 
+    @pytest.mark.parametrize(
+        "base_year, horizon, year",
+        [("99999999999999999999", "4", 10**20 - 1), ("9223372036854775803", "5", 2**63)],
+        ids=["base-year-beyond-int64", "last-year-beyond-int64"],
+    )
+    def test_year_beyond_int64_fails_in_one_line(self, inputs, capsys, base_year, horizon, year):
+        args = self.demand_args(inputs, "--base-year", base_year, "--horizon", horizon)
+        assert main(args) == 1
+        err = assert_one_line_error(capsys, "demand")
+        assert err == (
+            f"uidforge demand: error: year {year} lies outside the int64 range "
+            "-9223372036854775808..9223372036854775807\n"
+        )
+        assert list(inputs["out"].glob("*")) == []
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_projection_fails_in_one_line(self, inputs, tmp_path, capsys):
         # unit survival turns the infinite newborn counts into inf * 0 deaths
@@ -476,6 +492,13 @@ class TestCoverageCommand:
         err = assert_one_line_error(capsys, "coverage")
         assert f"{population}:2: region code 'A,B'" in err
         assert not (out / "adjusted_population.csv").exists()
+
+    def test_max_age_above_the_limit_fails_in_one_line(self, flag_values, capsys):
+        values = {**flag_values["coverage"], "max_age": "151"}
+        assert main(as_argv("coverage", values)) == 1
+        err = assert_one_line_error(capsys, "coverage")
+        assert "max_age must be an integer in 1..150, got 151" in err
+        assert list(Path(values["out"]).glob("*")) == []
 
     def test_seed_sources_are_ignored(self, flag_values, tmp_path, monkeypatch):
         # coverage takes no seed: a bad $UIDFORGE_SEED or config seed must not fail it
@@ -604,6 +627,16 @@ class TestOutOfMemory:
         err = assert_one_line_error(capsys, command)
         assert err.startswith(f"uidforge {command}: error: out of memory: ")
         assert list(Path(values["out"]).glob("*")) == []
+
+    def test_a_memory_error_without_a_reason_fails_in_one_line(
+        self, flag_values, capsys, monkeypatch
+    ):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "metropolis_sample", exhausted)
+        assert main(as_argv("estimate", flag_values["estimate"])) == 1
+        assert capsys.readouterr().err == "uidforge estimate: error: out of memory\n"
 
 
 class TestConfigFile:
@@ -734,6 +767,11 @@ _CELLS = {
     ),
 }
 _PER_1000 = st.one_of(st.sampled_from([0.0, 500.0, 999.0]), st.floats(0, 1000, exclude_max=True))
+#: the default year label, the int64 edges that a 4-year horizon still
+#: fits in or just passes, and a Python int beyond them
+_BASE_YEAR = st.sampled_from(
+    [0, 0, 0, 0, -(2**63), -(2**63) - 1, 2**63 - 5, 2**63 - 4, 2**63 - 1, 10**20]
+)
 _CELL = ("code", "sex", "age", "number")
 #: input name -> (text of the valid base file, column kinds of one row);
 #: the population is sparse so that appended cells need not collide
@@ -787,8 +825,9 @@ def _fuzz_rows(draw, kinds):
 
 @st.composite
 def _fuzz_runs(draw):
-    """(command, input name -> file text, extra flags) with 1..4 random
-    rows appended to one input file."""
+    """(command, input name -> file text, target, rows, extra flags): 1..4
+    random ``rows`` are appended to the input file ``target``, or with
+    ``target`` None to none of them."""
     command = draw(st.sampled_from(sorted(_FUZZ_OUTPUTS)))
     flows = draw(st.sampled_from(["flows", "rate-flows"]))
     names = {
@@ -798,8 +837,8 @@ def _fuzz_runs(draw):
         "estimate": ["observations"],
     }[command]
     texts = {name: _FUZZ_INPUTS[name][0] for name in names}
-    target = draw(st.sampled_from(names))
-    rows = draw(_fuzz_rows(_FUZZ_INPUTS[target][1]))
+    target = draw(st.sampled_from([*names, None]))
+    rows = draw(_fuzz_rows(_FUZZ_INPUTS[target or names[0]][1]))
     if command == "estimate":
         extra = ["--prior-shape", "1", "--prior-rate", "1", "--samples", "2000"]
     elif command == "coverage":
@@ -807,6 +846,7 @@ def _fuzz_runs(draw):
     else:
         imr = repr(draw(_PER_1000))
         extra = ["--horizon", "4", "--sex-ratio", "1.05", "--infant-mortality", imr]
+        extra += ["--base-year", str(draw(_BASE_YEAR))]
         if command == "demand":
             extra += ["--policy", draw(st.sampled_from(["at-birth", "at-age-one", "full"]))]
     return command, texts, target, rows, extra

@@ -7,7 +7,6 @@ from uidforge import (
     AgeAxis,
     AgePyramid,
     CoverageConfig,
-    DemandRow,
     DemandSeries,
     DomainError,
     FertilityConfig,
@@ -18,7 +17,7 @@ from uidforge import (
     StateRates,
     SurvivalSchedule,
 )
-from uidforge.core import SEX_ROWS
+from uidforge.core import MAX_AGE_LIMIT, SEX_ROWS
 from conftest import dense_pyramid
 from oracles import multi_year_survival
 
@@ -38,6 +37,11 @@ class TestAgeAxis:
     def test_rejects_bad_max_age(self, bad):
         with pytest.raises(DomainError):
             AgeAxis(bad)
+
+    def test_max_age_ends_at_the_limit(self):
+        assert MAX_AGE_LIMIT == 150 and AgeAxis(150).n_ages == 151
+        with pytest.raises(DomainError, match=r"^max_age must be an integer in 1\.\.150, got 151$"):
+            AgeAxis(151)
 
 
 class TestRegionId:
@@ -66,7 +70,6 @@ class TestSurvivalSchedule:
         sched = SurvivalSchedule.flat(region, AgeAxis(3), 0.9, 0.95)
         assert sched.array[Sex.MALE.row].tolist() == [0.9, 0.9, 0.9, 0.0]
         assert sched.array[Sex.FEMALE.row].tolist() == [0.95, 0.95, 0.95, 0.0]
-        assert sched.one_year[(Sex.FEMALE, 1)] == 0.95
 
     def test_missing_age_rejected(self, region):
         axis = AgeAxis(2)
@@ -200,12 +203,12 @@ class TestPyramidBasics:
         assert pyr.count(Sex.MALE, 1) == -1.0
         assert math.isnan(pyr.count(Sex.FEMALE, 2))
 
-    def test_counts_iterate_in_sex_then_age_order(self, region):
+    def test_counts_hold_the_given_cells(self, region):
         cells = {(Sex.MALE, 0): 1.0, (Sex.FEMALE, 3): 2.0, (Sex.FEMALE, 1): 3.0}
         pyr = AgePyramid(region, 2011, AgeAxis(3), cells)
-        assert list(pyr.counts) == [(Sex.FEMALE, 1), (Sex.FEMALE, 3), (Sex.MALE, 0)]
+        assert pyr.array.tolist() == [[0.0, 3.0, 0.0, 2.0], [1.0, 0.0, 0.0, 0.0]]
+        assert pyr.present.tolist() == [[False, True, False, True], [True, False, False, False]]
         assert len(pyr.counts) == 3
-        assert dict(pyr.counts) == cells
 
     def test_from_array_shape_checked(self, region):
         with pytest.raises(DomainError, match=r"must have shape \(2, 4\), got \(2, 3\)"):
@@ -234,13 +237,20 @@ class TestPyramidBasics:
         assert str(pyramid_error.value) == str(schedule_error.value)
         assert str(schedule_error.value) == "cell (M, 9) lies beyond the axis 0..5"
 
-    def test_missing_key_raises_key_error(self, region):
+    def test_count_reads_zero_for_an_absent_or_off_axis_cell(self, region):
         pyr = AgePyramid(region, 2011, AgeAxis(3), {(Sex.FEMALE, 1): 2.0})
-        for key in [(Sex.MALE, 1), (Sex.FEMALE, 9), (Sex.FEMALE, -1), "F"]:
-            with pytest.raises(KeyError) as err:
-                pyr.counts[key]
-            assert err.value.args == (key,)
-        assert list(pyr.counts) == [(Sex.FEMALE, 1)] and len(pyr.counts) == 1
+        assert pyr.count(Sex.FEMALE, 1) == 2.0
+        for sex, age in [(Sex.MALE, 1), (Sex.FEMALE, 9), (Sex.FEMALE, -1), (Sex.FEMALE, 4)]:
+            assert pyr.count(sex, age) == 0.0
+        assert len(pyr.counts) == 1
+
+    def test_equal_by_value(self, region):
+        axis = AgeAxis(3)
+        pyr = AgePyramid(region, 2011, axis, {(Sex.FEMALE, 1): 2.0})
+        assert pyr == AgePyramid(region, 2011, axis, {(Sex.FEMALE, 1): 2.0})
+        assert pyr != AgePyramid(region, 2011, axis, {(Sex.FEMALE, 1): 3.0})
+        assert pyr != AgePyramid(region, 2011, axis, {(Sex.FEMALE, 1): 2.0, (Sex.MALE, 0): 0.0})
+        assert pyr != AgePyramid(region, 2011, AgeAxis(4), {(Sex.FEMALE, 1): 2.0})
 
     def test_non_number_cell_rejected(self, region):
         with pytest.raises(DomainError, match="not a number"):
@@ -253,7 +263,7 @@ class TestPyramidBasics:
 
     def test_boolean_age_is_one_cell(self, region):
         pyr = AgePyramid(region, 2011, AgeAxis(3), {(Sex.FEMALE, True): 1.0})
-        assert pyr.counts == {(Sex.FEMALE, 1): 1.0}
+        assert pyr.count(Sex.FEMALE, 1) == 1.0 and len(pyr.counts) == 1
 
     def test_numpy_scalar_cells_accepted(self, region):
         cells = {(Sex.MALE, 1): np.float32(0.5), (Sex.FEMALE, 2): np.int64(3)}
@@ -265,6 +275,8 @@ class TestPyramidBasics:
         pyr = dense_pyramid(region, 2011, axis)
         with pytest.raises(TypeError):
             pyr.counts[(Sex.MALE, 0)] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            pyr.array[Sex.MALE.row, 0] = 5.0
 
 
 _STATE = RegionId("A", RegionLevel.STATE)
@@ -272,14 +284,12 @@ _COUNTS = dict(
     births=1.0, deaths=1.0, interstate_in=1.0, interstate_out=1.0, immigration=1.0, emigration=1.0
 )
 _RATES = dict(population=1e6, birth_rate=0.02, death_rate=0.01, in_rate=0.0, out_rate=0.0)
-_DEMAND = dict(new_cards_male=1.0, new_cards_female=1.0, returned_cards=0.0)
 _SERIES = dict(new_male=[1.0], new_female=[1.0], returned=[0.0])
 
 # (record.field, build(value)) for every number the shared validator guards
 _VALIDATED = (
     [(f"StateFlows.{n}", lambda v, n=n: StateFlows(_STATE, **{**_COUNTS, n: v})) for n in _COUNTS]
     + [(f"StateRates.{n}", lambda v, n=n: StateRates(_STATE, **{**_RATES, n: v})) for n in _RATES]
-    + [(f"DemandRow.{n}", lambda v, n=n: DemandRow(2012, **{**_DEMAND, n: v})) for n in _DEMAND]
     + [
         (f"DemandSeries.{n}", lambda v, n=n: DemandSeries([2012], **{**_SERIES, n: [v]}))
         for n in _SERIES

@@ -81,7 +81,7 @@ class TestOmissionAdjustment:
         pyr = AgePyramid(region, 2011, axis, {(Sex.FEMALE, 20): 980.0})
         out = apply_omission_adjustment(pyr, CoverageConfig(omission_per_1000=20.0))
         assert np.array_equal(out.present, pyr.present)
-        assert list(out.counts) == [(Sex.FEMALE, 20)]
+        assert len(out.counts) == 1
         assert out.count(Sex.FEMALE, 20) == pytest.approx(1000.0, rel=1e-12)
 
     def test_fortynine_per_thousand(self, region, axis):
@@ -161,7 +161,7 @@ class TestAllocateUnknownAge:
         cfg = CoverageConfig(unknown_age_counts={Sex.FEMALE: 8.0, Sex.MALE: 1.0})
         out = allocate_unknown_age(pyr, cfg)
         assert np.array_equal(out.present, pyr.present)
-        assert list(out.counts) == list(pyr.counts)
+        assert len(out.counts) == len(pyr.counts) == 3
         assert out.total() == pytest.approx(53.0, rel=1e-12)
 
 

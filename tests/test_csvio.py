@@ -87,13 +87,26 @@ class TestReader:
             load(path)
         assert err.value.line_no == len(rows) + 3
 
+    def test_row_after_a_field_spanning_lines_raises_at_its_line(
+        self, tmp_path, load, header, rows
+    ):
+        # the first row's quoted last field spans lines 2 and 3
+        first, value = rows[0].rsplit(",", 1)
+        spanning = f'{first},"\n{value}"'
+        path = write(tmp_path, "span.csv", "\n".join([header, spanning, first]) + "\n")
+        with pytest.raises(ParseError, match=r"span\.csv:4: expected") as err:
+            load(path)
+        assert err.value.line_no == 4
+
     def test_negative_number_raises_with_its_line(self, tmp_path, load, header, rows):
         # the last field of every schema is a count, a probability, a rate or an exposure
-        negative = rows[0].rsplit(",", 1)[0] + ",-1"
-        path = write(tmp_path, "values.csv", "\n".join([header, negative]) + "\n")
-        with pytest.raises(DataError, match=r":2: negative ") as err:
-            load(path)
-        assert err.value.line_no == 2
+        # a row whose quoted field spans lines is named by its first line
+        for value in ("-1", '"\n-1"'):
+            negative = rows[0].rsplit(",", 1)[0] + "," + value
+            path = write(tmp_path, "values.csv", "\n".join([header, negative]) + "\n")
+            with pytest.raises(DataError, match=r":2: negative ") as err:
+                load(path)
+            assert err.value.line_no == 2
 
 
 class TestLoadPopulation:
