@@ -70,6 +70,31 @@ def multi_year_survival(
     return p
 
 
+def projection_oracle(pop, survival, fert, horizon):
+    """The projection one year at a time as a plain array loop: frame 0
+    is the pyramid's array; each year's births are the sum, over mother
+    ages 15..49 in age order, of ``s[F, x] * P[F, x] * F(x) * K``
+    multiplied left to right, split ``total * r / (1 + r)`` male and the
+    rest female; the other cells are last year's, shifted one age up and
+    times the survival of the age they left. Returns the frames as a
+    ``(horizon + 1, 2, n_ages)`` array."""
+    female, male = Sex.FEMALE.row, Sex.MALE.row
+    s, k = survival.array, fert.eligible_proportion
+    ratio = fert.sex_ratio_at_birth
+    frames = [np.array(pop.array)]
+    for _ in range(horizon):
+        last = frames[-1]
+        total = 0.0
+        for x in range(15, 50):
+            total += s.item(female, x) * last.item(female, x) * fert.rate(x) * k
+        new = np.zeros_like(last)
+        new[:, 1:] = last[:, :-1] * s[:, :-1]
+        new[male, 0] = total * (ratio / (1.0 + ratio))
+        new[female, 0] = total - new[male, 0]
+        frames.append(new)
+    return np.array(frames)
+
+
 def _rounded(x: float) -> int:
     if not math.isfinite(x):
         raise DomainError(f"card count {x!r} is not finite")

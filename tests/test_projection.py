@@ -18,7 +18,12 @@ from uidforge import (
     survive_cohorts,
 )
 from conftest import dense_pyramid
-from oracles import bernoulli_cohort_survivors, brute_force_births, multi_year_survival
+from oracles import (
+    bernoulli_cohort_survivors,
+    brute_force_births,
+    multi_year_survival,
+    projection_oracle,
+)
 
 
 @pytest.fixture
@@ -350,7 +355,49 @@ class TestAgeGroupSurvivors:
         assert out.total() == pytest.approx(7.0 * 0.729, rel=1e-12)
 
 
+_counts = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+
+
+@st.composite
+def projection_inputs(draw):
+    """A densified sparse pyramid on an axis that holds ages 15..49, a
+    schedule, fertility and a horizon of 0..30 years."""
+    axis = AgeAxis(draw(st.integers(min_value=49, max_value=110)))
+    region = RegionId("X")
+    n = 2 * axis.n_ages
+    counts = draw(st.lists(_counts, min_size=n, max_size=n))
+    present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cells = {
+        (sex, x): counts[2 * x + sex.row]
+        for sex in Sex
+        for x in axis.ages()
+        if present[2 * x + sex.row]
+    }
+    pop = AgePyramid(region, draw(st.integers(1900, 2100)), axis, cells).densified()
+    probs = draw(st.lists(_any_probs, min_size=2 * axis.max_age, max_size=2 * axis.max_age))
+    sched = {(s, x): 0.0 for s in Sex for x in axis.ages()}
+    for x in range(axis.max_age):
+        sched[(Sex.FEMALE, x)], sched[(Sex.MALE, x)] = probs[2 * x], probs[2 * x + 1]
+    rates = draw(st.lists(st.floats(0.0, 0.5), min_size=35, max_size=35))
+    fert = FertilityConfig(
+        dict(enumerate(rates, start=15)),
+        eligible_proportion=draw(st.floats(0.0, 1.0)),
+        sex_ratio_at_birth=draw(st.floats(0.5, 2.0)),
+    )
+    horizon = draw(st.integers(min_value=0, max_value=30))
+    return pop, SurvivalSchedule(region, axis, sched), fert, horizon
+
+
 class TestProjectPopulation:
+    @given(inputs=projection_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_frames_equal_the_plain_year_loop_bit_for_bit(self, inputs):
+        pop, sched, fert, horizon = inputs
+        counts = project_population(pop, sched, fert, horizon).counts
+        expected = projection_oracle(pop, sched, fert, horizon)
+        assert counts.shape == expected.shape
+        assert counts.tobytes() == expected.tobytes()
+
     def test_horizon_zero_returns_input_only(self, region, axis, unit_survival, fert_flat):
         pop = dense_pyramid(region, 2011, axis, female={20: 10.0})
         series = project_population(pop, unit_survival, fert_flat, 0)
