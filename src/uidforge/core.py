@@ -106,8 +106,12 @@ def require_finite_nonnegative(name: str, value) -> None:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-#: the all-true mask of each shape, shared by the dense Cells
-_all_present = functools.cache(lambda shape: np.ones(shape, dtype=bool))
+@functools.cache
+def _all_present(shape: tuple) -> np.ndarray:
+    """The read-only all-true mask of ``shape``, shared by the dense Cells."""
+    mask = np.ones(shape, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 class Cells:
@@ -120,7 +124,11 @@ class Cells:
 
     def __init__(self, array: np.ndarray, present: np.ndarray | None = None):
         present = _all_present(array.shape) if present is None else present
-        array.flags.writeable = present.flags.writeable = False
+        # clearing the flag costs several times more than reading it
+        if array.flags.writeable:
+            array.flags.writeable = False
+        if present.flags.writeable:
+            present.flags.writeable = False
         self.array, self.present = array, present
 
     @classmethod
@@ -217,7 +225,20 @@ class AgePyramid:
             raise DomainError(
                 f"pyramid array must have shape (2, {axis.n_ages}), got {array.shape}"
             )
-        return cls(region, time_label, axis, Cells(np.array(array, dtype=float)))
+        return cls._dense(region, time_label, axis, np.array(array, dtype=float))
+
+    @classmethod
+    def _dense(
+        cls, region: RegionId, time_label: int, axis: AgeAxis, array: np.ndarray
+    ) -> "AgePyramid":
+        """Dense pyramid over the float64 ``(2, n_ages)`` ``array`` itself,
+        which the caller gives up; the fields are set directly, with no
+        mapping to copy."""
+        pyramid = object.__new__(cls)
+        pyramid.__dict__.update(
+            region=region, time_label=time_label, axis=axis, counts=Cells(array)
+        )
+        return pyramid
 
 
 @dataclass(frozen=True)
@@ -338,8 +359,9 @@ class FertilityConfig:
         """Share of live births that complete their first year."""
         return 1.0 - self.infant_mortality / 1000.0
 
-    @property
+    @cached_property
     def male_share(self) -> float:
+        """Share of births that are male, r / (1 + r)."""
         r = self.sex_ratio_at_birth
         return r / (1.0 + r)
 

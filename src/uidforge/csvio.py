@@ -13,11 +13,12 @@ by forked workers, one per usable CPU, and written in region order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import itertools
 import math
 import os
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -54,6 +55,12 @@ _SEX_ROW = {sex.value: sex.row for sex in SEX_ROWS}
 _UNWRITABLE = frozenset(',"\r\n')
 #: data rows read and checked at a time
 _BLOCK = 4096
+#: what reading a file may raise, besides the checks of its rows
+_READ_ERRORS = (OSError, UnicodeDecodeError, csv.Error)
+
+
+def _read_error(path, exc: Exception) -> ParseError:
+    return ParseError(path, 0, f"cannot read file: {exc}")
 
 
 def _table(path, *headers: list[str]):
@@ -62,14 +69,15 @@ def _table(path, *headers: list[str]):
     of ``(line_no, stripped fields)`` over the data rows that skips blank
     lines and rejects a row whose field count differs from the header's.
     """
-    rows = _header_then_rows(path, headers)
-    header, reader = next(rows)
-    return header, _checked(path, header, reader, rows)
+    opened = _opened(path, headers)
+    header, reader = next(opened)
+    return header, _checked(path, header, reader, opened)
 
 
-def _header_then_rows(path, headers):
-    """The matching header with the csv reader (for its line count), then
-    the raw data rows; a read error is a ParseError at line 0."""
+def _opened(path, headers):
+    """Yield the matching header and the csv reader, positioned at the
+    first data row, and keep the file open until closed; a read error up
+    to the header is a ParseError at line 0."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -79,21 +87,28 @@ def _header_then_rows(path, headers):
                 expected = " nor ".join(",".join(h) for h in headers)
                 raise ParseError(path, 1, f"header {','.join(header)!r} {verb} {expected}")
             yield header, reader
-            yield from reader
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ParseError(path, 0, f"cannot read file: {exc}") from exc
+    except _READ_ERRORS as exc:
+        raise _read_error(path, exc) from exc
 
 
-def _checked(path, header, reader, rows):
-    # zip reads the reader's line count before the row: the line_no of a
-    # row is the line it starts on, counting quoted fields that span lines
-    for lines, row in zip(map(attrgetter("line_num"), itertools.repeat(reader)), rows):
-        line_no = lines + 1
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
-        yield line_no, [f.strip() for f in row]
+def _checked(path, header, reader, opened):
+    """The data rows of :func:`_table`, read straight from ``reader``.
+    A row's line_no is the line it starts on, counting quoted fields
+    that span lines; a read error is a ParseError at line 0. Closes
+    ``opened`` at the end."""
+    with contextlib.closing(opened):
+        try:
+            line_no = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) != len(header):
+                        raise ParseError(
+                            path, line_no, f"expected {len(header)} fields, got {len(row)}"
+                        )
+                    yield line_no, [f.strip() for f in row]
+                line_no = reader.line_num + 1
+        except _READ_ERRORS as exc:
+            raise _read_error(path, exc) from exc
 
 
 def _parse_float(path, line_no, field, text) -> float:
@@ -133,7 +148,7 @@ def _region_cells(path, header: list[str], axis: AgeAxis) -> dict:
     reader does not take (blank lines, blanks around a field)."""
     try:
         read = _column_keys(path, header, axis)
-    except (ParseError, ValueError, KeyError):
+    except (ParseError, ValueError, KeyError, *_READ_ERRORS):
         read = None
     slots, keys, values = read or _row_keys(path, header, axis)
     shape = (len(slots), 2, axis.n_ages)
@@ -148,28 +163,35 @@ def _column_keys(path, header: list[str], axis: AgeAxis):
     four fields, a region code without surrounding blanks, commas, quotes
     or line breaks, a sex of M or F, an age written as one of the axis's
     ages and a finite non-negative number, and no key may repeat; else
-    ValueError or KeyError."""
-    rows = _header_then_rows(path, [header])
-    next(rows)
-    age_of = {str(age): age for age in axis.ages()}
+    ValueError or KeyError. A read error goes up as it is."""
+    opened = _opened(path, [header])
+    _, reader = next(opened)
+    age_of = _age_of(axis)
     slots, keys, values = {}, [np.zeros(0, np.intp)], [np.zeros(0)]
-    while block := list(itertools.islice(rows, _BLOCK)):
-        regions, sexes, ages, texts = zip(*block, strict=True)
-        for code in dict.fromkeys(regions):
-            if not code or code != code.strip() or not _UNWRITABLE.isdisjoint(code):
-                raise ValueError(f"region code {code!r}")
-            slots.setdefault(code, len(slots))
-        slot = np.fromiter(map(slots.__getitem__, regions), np.intp, len(block))
-        sex = np.fromiter(map(_SEX_ROW.__getitem__, sexes), np.intp, len(block))
-        age = np.fromiter(map(age_of.__getitem__, ages), np.intp, len(block))
-        keys.append((2 * slot + sex) * axis.n_ages + age)
-        values.append(np.fromiter(map(float, texts), float, len(block)))
-        if not ((values[-1] >= 0) & (values[-1] < math.inf)).all():
-            raise ValueError("a value is negative or not finite")
+    with contextlib.closing(opened):
+        while block := list(itertools.islice(reader, _BLOCK)):
+            regions, sexes, ages, texts = zip(*block, strict=True)
+            for code in dict.fromkeys(regions):
+                if not code or code != code.strip() or not _UNWRITABLE.isdisjoint(code):
+                    raise ValueError(f"region code {code!r}")
+                slots.setdefault(code, len(slots))
+            slot = np.fromiter(map(slots.__getitem__, regions), np.intp, len(block))
+            sex = np.fromiter(map(_SEX_ROW.__getitem__, sexes), np.intp, len(block))
+            age = np.fromiter(map(age_of.__getitem__, ages), np.intp, len(block))
+            keys.append((2 * slot + sex) * axis.n_ages + age)
+            values.append(np.fromiter(map(float, texts), float, len(block)))
+            if not ((values[-1] >= 0) & (values[-1] < math.inf)).all():
+                raise ValueError("a value is negative or not finite")
     keys = np.concatenate(keys)
     if not np.diff(np.sort(keys)).all():
         raise ValueError("a key repeats")
     return slots, keys, np.concatenate(values)
+
+
+@functools.cache
+def _age_of(axis: AgeAxis) -> dict:
+    """The ages of ``axis`` by their decimal text; read only."""
+    return {str(age): age for age in axis.ages()}
 
 
 def _row_keys(path, header: list[str], axis: AgeAxis):
@@ -509,14 +531,12 @@ def render_series_chart(series: DemandSeries, path):
     plot_w = _CHART_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _CHART_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def sx(year):
-        return _MARGIN_LEFT + (year - x_min) / x_span * plot_w
-
-    def sy(value):
-        return _MARGIN_TOP + (1.0 - (value - y_min) / y_span) * plot_h
+    # each x coordinate is formatted once, for both polylines
+    xs = [f"{_MARGIN_LEFT + (year - x_min) / x_span * plot_w:.2f}," for year in years]
 
     def points(values):
-        return " ".join(f"{sx(y):.2f},{sy(v):.2f}" for y, v in zip(years, values))
+        ys = [_MARGIN_TOP + (1.0 - (v - y_min) / y_span) * plot_h for v in values]
+        return " ".join([f"{x}{y:.2f}" for x, y in zip(xs, ys)])
 
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h
     x1, y1 = _MARGIN_LEFT + plot_w, _MARGIN_TOP

@@ -22,6 +22,7 @@ on the return side alongside international migration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
@@ -109,6 +110,29 @@ _ROW_FIELDS = "year,new_cards_male,new_cards_female,returned_cards,new_cards_tot
 _INT64 = np.iinfo(np.int64)
 
 
+def _check_year(year: int):
+    if not _INT64.min <= year <= _INT64.max:
+        raise DomainError(f"year {year} lies outside the int64 range {_INT64.min}..{_INT64.max}")
+
+
+def _year_labels(years) -> np.ndarray:
+    """``years`` as a 1-D int64 array of consecutive year labels; a label
+    that is not an integer or lies outside int64 is a DomainError."""
+    labels = np.asarray(years)
+    if labels.ndim != 1:
+        raise DomainError(f"years must be consecutive, got {labels.tolist()}")
+    if labels.dtype.kind != "i":  # Python ints past int64 arrive as objects
+        if not all(isinstance(year, numbers.Integral) for year in labels.tolist()):
+            raise DomainError(f"years must be integers, got {labels.tolist()}")
+        for year in labels.tolist():
+            _check_year(year)
+    labels = labels.astype(np.int64)
+    # a difference of 1 can wrap around from the top of int64 to the bottom
+    if ((np.diff(labels) != 1) | (labels[1:] < labels[:-1])).any():
+        raise DomainError(f"years must be consecutive, got {labels.tolist()}")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class DemandSeries:
     """Annual expected new-card and returned-card counts: one entry per
@@ -124,9 +148,7 @@ class DemandSeries:
     returned: np.ndarray
 
     def __post_init__(self):
-        years = np.asarray(self.years, dtype=np.int64)
-        if years.ndim != 1 or (np.diff(years) != 1).any():
-            raise DomainError(f"years must be consecutive, got {years.tolist()}")
+        years = _year_labels(self.years)
         object.__setattr__(self, "years", years)
         for name in ("new_male", "new_female", "returned"):
             values = np.asarray(getattr(self, name), dtype=float)
@@ -279,10 +301,7 @@ def _simulate(pop, survival, fert, flows, horizon, policy):
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     for year in (pop.time_label, pop.time_label + horizon):
-        if not _INT64.min <= year <= _INT64.max:
-            raise DomainError(
-                f"year {year} lies outside the int64 range {_INT64.min}..{_INT64.max}"
-            )
+        _check_year(year)
     years = np.arange(pop.time_label, pop.time_label + horizon + 1, dtype=np.int64)
     cards_at_birth = policy is IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH
     male, female = Sex.MALE.row, Sex.FEMALE.row

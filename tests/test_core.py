@@ -17,7 +17,7 @@ from uidforge import (
     StateRates,
     SurvivalSchedule,
 )
-from uidforge.core import MAX_AGE_LIMIT, SEX_ROWS
+from uidforge.core import MAX_AGE_LIMIT, SEX_ROWS, Cells, _all_present
 from conftest import dense_pyramid
 from oracles import multi_year_survival
 
@@ -94,6 +94,11 @@ class TestSurvivalSchedule:
 
 
 class TestFertilityConfig:
+    def test_male_share_is_ratio_over_one_plus_ratio(self):
+        cfg = FertilityConfig({}, 1.0, 1.05)
+        assert cfg.male_share == 1.05 / 2.05
+        assert cfg.male_share is cfg.male_share
+
     def test_nonzero_rate_outside_band_rejected(self):
         with pytest.raises(DomainError, match="outside"):
             FertilityConfig({14: 0.1}, 1.0, 1.05)
@@ -277,6 +282,30 @@ class TestPyramidBasics:
             pyr.counts[(Sex.MALE, 0)] = 5.0
         with pytest.raises(ValueError, match="read-only"):
             pyr.array[Sex.MALE.row, 0] = 5.0
+
+    def test_dense_pyramid_equals_the_constructed_one(self, region):
+        axis = AgeAxis(3)
+        array = np.arange(8.0).reshape(2, 4)
+        cells = {(sex, age): array[sex.row, age] for sex in Sex for age in axis.ages()}
+        built = AgePyramid(region, 2011, axis, cells)
+        dense = AgePyramid._dense(region, 2011, axis, array.copy())
+        assert dense == built == AgePyramid.from_array(region, 2011, axis, array)
+        assert dense != AgePyramid._dense(region, 2012, axis, array.copy())
+        assert (dense.region, dense.time_label, dense.axis) == (region, 2011, axis)
+        assert not dense.array.flags.writeable and not dense.present.flags.writeable
+        assert dense.present is _all_present((2, 4))
+
+    def test_cells_leave_every_array_read_only(self):
+        shared = _all_present((2, 4))
+        assert not shared.flags.writeable
+        array, present = np.zeros((2, 4)), np.ones((2, 4), dtype=bool)
+        Cells(array, present)
+        assert not array.flags.writeable and not present.flags.writeable
+        frozen = np.zeros((2, 4))
+        frozen.flags.writeable = False
+        cells = Cells(frozen)
+        assert cells.array is frozen and cells.present is shared
+        assert not frozen.flags.writeable
 
 
 _STATE = RegionId("A", RegionLevel.STATE)

@@ -98,6 +98,25 @@ class TestReader:
             load(path)
         assert err.value.line_no == 4
 
+    @pytest.mark.parametrize(
+        "field, reason",
+        [
+            ("R\xe9gion", "'utf-8' codec can't decode byte 0xe9 in position"),
+            ("x" * 200_000, "field larger than field limit (131072)"),
+        ],
+        ids=["undecodable", "oversized"],
+    )
+    def test_read_error_after_the_header_is_a_parse_error(
+        self, tmp_path, load, header, rows, field, reason
+    ):
+        path = tmp_path / "bad.csv"
+        text = "\n".join([header, *rows, rows[0].replace(rows[0].split(",")[0], field, 1)])
+        path.write_bytes(text.encode("latin-1") + b"\n")
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert err.value.line_no == 0
+        assert str(err.value).startswith(f"{path}:0: cannot read file: {reason}")
+
     def test_negative_number_raises_with_its_line(self, tmp_path, load, header, rows):
         # the last field of every schema is a count, a probability, a rate or an exposure
         # a row whose quoted field spans lines is named by its first line

@@ -223,6 +223,29 @@ class TestDemandSeries:
         with pytest.raises(DomainError, match=message):
             DemandSeries([2012, 2013], [1.0, 1.0], [1.0, 1.0], [0.0, -1.0])
 
+    @pytest.mark.parametrize(
+        "years, message",
+        [
+            ([10**20], "year 100000000000000000000 lies outside the int64 range "
+             "-9223372036854775808..9223372036854775807"),
+            (np.array([2**63 - 1, -(2**63)]),
+             "years must be consecutive, got [9223372036854775807, -9223372036854775808]"),
+            ([1.5, 2.5], "years must be integers, got [1.5, 2.5]"),
+        ],
+        ids=["beyond-int64", "wrapping-diff", "fractional"],
+    )
+    def test_bad_year_labels_fail_in_one_line(self, years, message):
+        n = len(years)
+        with pytest.raises(DomainError) as err:
+            DemandSeries(years, [1.0] * n, [1.0] * n, [0.0] * n)
+        assert str(err.value) == message
+
+    def test_numpy_integer_years_accepted(self):
+        years = np.array([2**63 - 2, 2**63 - 1], dtype=np.uint64)
+        series = DemandSeries(years, [1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+        assert series.years.dtype == np.int64
+        assert series.years.tolist() == [2**63 - 2, 2**63 - 1]
+
     def test_columns_must_match_the_years(self):
         with pytest.raises(DomainError, match="new_female must be finite and >= 0 in each of 2"):
             DemandSeries([2012, 2013], [1.0, 1.0], [1.0], [0.0, 0.0])

@@ -15,8 +15,10 @@ from uidforge import (
     deaths_by_age,
     project_births,
     project_population,
+    projection,
     survive_cohorts,
 )
+from uidforge.core import Cells
 from conftest import dense_pyramid
 from oracles import (
     bernoulli_cohort_survivors,
@@ -66,6 +68,30 @@ class TestProjectBirths:
         fert = FertilityConfig.flat(0.1, 1.0, 1.05)
         with pytest.raises(DomainError, match="reproductive"):
             project_births(pop, unit_survival, fert)
+
+    def test_sparse_pyramid_lacking_f20_is_checked_cell_by_cell(self, region, axis):
+        # every cell present but F20, in a mask of the pyramid's own
+        present = np.ones((2, axis.n_ages), dtype=bool)
+        present[Sex.FEMALE.row, 20] = False
+        pop = AgePyramid(region, 2011, axis, Cells(np.ones((2, axis.n_ages)), present))
+        sched = SurvivalSchedule.flat(region, axis, 1.0)
+        fert = FertilityConfig.flat(0.1, 1.0, 1.05)
+        with pytest.raises(DomainError) as err:
+            project_births(pop, sched, fert)
+        assert str(err.value) == "pyramid lacks female counts at reproductive ages [20]"
+        # a full mask of its own passes the same check
+        full = AgePyramid(region, 2011, axis, Cells(np.ones((2, axis.n_ages)), present | True))
+        dense = AgePyramid.from_array(region, 2011, axis, np.ones((2, axis.n_ages)))
+        assert np.array_equal(
+            project_births(full, sched, fert), project_births(dense, sched, fert)
+        )
+
+    def test_dense_pyramid_on_a_short_axis_is_still_checked(self, region):
+        axis = AgeAxis(30)
+        pop = AgePyramid.from_array(region, 2011, axis, np.ones((2, axis.n_ages)))
+        sched = SurvivalSchedule.flat(region, axis, 1.0)
+        with pytest.raises(DomainError, match=r"reproductive ages \[31, 32, "):
+            project_births(pop, sched, FertilityConfig.flat(0.1, 1.0, 1.05))
 
     @pytest.mark.parametrize(
         "max_age, dropped, missing",
@@ -296,6 +322,19 @@ class TestSurviveCohorts:
         with pytest.raises(DomainError):
             survive_cohorts(pop, unit_survival, 0)
 
+    @pytest.mark.parametrize("span", [1.5, np.float64(1.0), "1"])
+    def test_non_integer_span_rejected(self, region, axis, unit_survival, span):
+        pop = dense_pyramid(region, 0, axis, female={20: 1.0})
+        with pytest.raises(DomainError) as err:
+            survive_cohorts(pop, unit_survival, span)
+        assert str(err.value) == f"span must be an integer, got {span!r}"
+
+    def test_numpy_integer_span_accepted(self, region, axis, unit_survival):
+        pop = dense_pyramid(region, 2011, axis, female={20: 1.0})
+        out = survive_cohorts(pop, unit_survival, np.int64(2))
+        assert out == survive_cohorts(pop, unit_survival, 2)
+        assert out.time_label == 2013 and type(out.time_label) is int
+
     def test_output_is_dense_over_the_axis(self, region, axis, unit_survival):
         pop = AgePyramid(region, 2011, axis, {(Sex.FEMALE, 20): 7.0})
         out = survive_cohorts(pop, unit_survival, 2)
@@ -474,6 +513,50 @@ class TestProjectPopulation:
         shape_error = r"\(horizon\+1, 2, 6\) array, got shape \(3, 2, 5\)$"
         with pytest.raises(DomainError, match=shape_error):
             ProjectionSeries(region, 2011, AgeAxis(5), np.zeros((3, 2, 5)))
+
+    @pytest.mark.parametrize("horizon", [2.5, np.float64(2.0)])
+    def test_non_integer_horizon_rejected(self, region, axis, unit_survival, fert_flat, horizon):
+        pop = dense_pyramid(region, 2011, axis)
+        with pytest.raises(DomainError) as err:
+            project_population(pop, unit_survival, fert_flat, horizon)
+        assert str(err.value) == f"horizon must be an integer, got {horizon!r}"
+
+    def test_numpy_integer_horizon_accepted(self, region, axis, fert_flat):
+        pop = dense_pyramid(region, 2011, axis, female={20: 10.0})
+        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        series = project_population(pop, sched, fert_flat, np.int32(3))
+        assert series.horizon == 3
+        expected = project_population(pop, sched, fert_flat, 3).counts
+        assert series.counts.tobytes() == expected.tobytes()
+
+    def test_every_frame_and_step_is_read_only(self, region, axis, fert_flat, monkeypatch):
+        # the pyramids that the per-year public steps take and return
+        seen = []
+        births, step = projection.project_births, projection.survive_cohorts
+
+        def spy_births(pop, *args):
+            seen.append(pop)
+            return births(pop, *args)
+
+        def spy_step(*args):
+            seen.append(step(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(projection, "project_births", spy_births)
+        monkeypatch.setattr(projection, "survive_cohorts", spy_step)
+        pop = dense_pyramid(region, 2011, axis, female={a: 10.0 + a for a in range(60)})
+        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        series = project_population(pop, sched, fert_flat, 4)
+        assert len(seen) == 8
+        assert [p.time_label for p in seen[::2]] == [2011, 2012, 2013, 2014]
+        assert [p.time_label for p in seen[1::2]] == [2012, 2013, 2014, 2015]
+        for frame in seen + list(series.frames):
+            assert not frame.array.flags.writeable
+            assert not frame.present.flags.writeable
+            assert frame.present.all()
+        for k, frame in enumerate(seen[2::2], start=1):
+            assert np.array_equal(frame.array, series.counts[k])
+        assert not series.counts.flags.writeable
 
     def test_negative_horizon_rejected(self, region, axis, unit_survival, fert_flat):
         pop = dense_pyramid(region, 2011, axis)
