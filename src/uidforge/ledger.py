@@ -122,11 +122,11 @@ def _year_labels(years) -> np.ndarray:
     if labels.ndim != 1:
         raise DomainError(f"years must be consecutive, got {labels.tolist()}")
     if labels.dtype.kind != "i":  # Python ints past int64 arrive as objects
-        if not all(isinstance(year, numbers.Integral) for year in labels.tolist()):
-            raise DomainError(f"years must be integers, got {labels.tolist()}")
         for year in labels.tolist():
+            if not isinstance(year, numbers.Integral):
+                raise DomainError(f"years must be integers, got {labels.tolist()}")
             _check_year(year)
-    labels = labels.astype(np.int64)
+    labels = labels.astype(np.int64, copy=False)
     # a difference of 1 can wrap around from the top of int64 to the bottom
     if ((np.diff(labels) != 1) | (labels[1:] < labels[:-1])).any():
         raise DomainError(f"years must be consecutive, got {labels.tolist()}")
