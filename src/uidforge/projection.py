@@ -23,11 +23,11 @@ age 0, and :func:`survive_cohorts`, on pyramids whose counts read
 straight from the array; the card ledger takes the deaths of all its
 frames at once from :func:`deaths_by_age`.
 
-The loop keeps calling the two public functions once a year, with one
-dense pyramid per call over an array that no one writes again
-(``AgePyramid._dense``), because the benchmark's tracer
-(``perfbench/spans.py``) wraps them at this module's names to time the
-births and cohort-step layers, and its nesting test needs those spans.
+The loop keeps calling the two public functions once a year, on a
+dense pyramid built over that year's frame (``AgePyramid._dense``),
+because the benchmark's tracer (``perfbench/spans.py``) wraps them at
+this module's names to time the births and cohort-step layers, and its
+nesting test needs those spans.
 A projected year costs about 10 µs on a 2-vCPU Xeon with Python 3.11
 and numpy 2.4 (births about 3 µs, the one-year step about 4 µs, the
 year's frame and copies the rest), so a national pyramid at horizon 100
