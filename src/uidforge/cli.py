@@ -6,8 +6,9 @@ corrections) and ``estimate`` (posterior demand intensity). Every option
 is declared once, in ``_OPTIONS``. Options are flags-first; ``--config
 FILE`` supplies key=value defaults that flags override, and
 UIDFORGE_SEED is ``estimate``'s seed fallback. Each command resolves its
-options into a RunConfig before touching any file. Diagnostics go to
-stderr, data only to files; the exit code is 0 iff no error occurred.
+options into a dict of values by option name before touching any file.
+Diagnostics go to stderr, data only to files; the exit code is 0 iff no
+error occurred.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,24 +41,6 @@ from .ledger import IssuancePolicy, annual_card_requirement_series
 from .projection import project_population
 
 SEED_ENV_VAR = "UIDFORGE_SEED"
-
-
-@dataclass
-class RunConfig:
-    """A fully resolved run: the command and the parsed value of every
-    option it takes, keyed by the option's name in ``_OPTIONS``."""
-
-    command: str
-    values: dict
-
-    def __post_init__(self):
-        horizon = self.values.get("horizon", 0)
-        if horizon < 0:
-            raise DomainError(f"horizon must be >= 0, got {horizon}")
-
-    @property
-    def axis(self) -> AgeAxis:
-        return AgeAxis(self.values["max_age"])
 
 
 def _as_int(flag: str, value) -> int:
@@ -174,9 +156,10 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _run_config(args) -> RunConfig:
-    """Each option ``args.command`` takes: its flag, else its config-file
-    value, else (``seed`` only) $UIDFORGE_SEED, else its default."""
+def _run_config(args) -> dict:
+    """The parsed value of each option ``args.command`` takes, by the
+    option's name in ``_OPTIONS``: its flag, else its config-file value,
+    else (``seed`` only) $UIDFORGE_SEED, else its default."""
     config = {} if args.config is None else _load_config_file(_as_path("config", args.config))
     values = {}
     for name, (commands, parse, default, _) in _OPTIONS.items():
@@ -194,11 +177,13 @@ def _run_config(args) -> RunConfig:
             raise DomainError(f"missing required option --{flag}")
         else:
             values[name] = default
-    return RunConfig(args.command, values)
+    if values.get("horizon", 0) < 0:
+        raise DomainError(f"horizon must be >= 0, got {values['horizon']}")
+    return values
 
 
-def _load_projection_inputs(cfg: RunConfig):
-    v, axis = cfg.values, cfg.axis
+def _load_projection_inputs(v: dict):
+    axis = AgeAxis(v["max_age"])
     pyramids = load_population_csv(v["population"], axis, v["base_year"])
     if not pyramids:
         raise DomainError("population file contains no data rows")
@@ -223,8 +208,8 @@ def _schedule_for(region_code: str, schedules: dict):
     )
 
 
-def _ensure_out_dir(cfg: RunConfig) -> Path:
-    out = cfg.values["out"]
+def _ensure_out_dir(v: dict) -> Path:
+    out = v["out"]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -232,11 +217,11 @@ def _ensure_out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _cmd_project(cfg: RunConfig) -> int:
-    pyramids, schedules, fert = _load_projection_inputs(cfg)
+def _cmd_project(v: dict) -> int:
+    pyramids, schedules, fert = _load_projection_inputs(v)
     regions = [(code, _schedule_for(code, schedules)) for code in sorted(pyramids)]
-    out = _ensure_out_dir(cfg)
-    horizon = cfg.values["horizon"]
+    out = _ensure_out_dir(v)
+    horizon = v["horizon"]
     emit_projection_csv(
         (
             (code, project_population(pyramids[code].densified(), schedule, fert, horizon))
@@ -247,23 +232,23 @@ def _cmd_project(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_demand(cfg: RunConfig) -> int:
-    pyramids, schedules, fert = _load_projection_inputs(cfg)
+def _cmd_demand(v: dict) -> int:
+    pyramids, schedules, fert = _load_projection_inputs(v)
     if len(pyramids) != 1:
         raise DomainError(
             f"demand needs a single-region population file, got {sorted(pyramids)}"
         )
     code, pyramid = next(iter(pyramids.items()))
-    flows = load_flows_csv(cfg.values["flows"])
+    flows = load_flows_csv(v["flows"])
     series = annual_card_requirement_series(
         pyramid.densified(),
         _schedule_for(code, schedules),
         fert,
         flows,
-        cfg.values["horizon"],
-        cfg.values["policy"],
+        v["horizon"],
+        v["policy"],
     )
-    out = _ensure_out_dir(cfg)
+    out = _ensure_out_dir(v)
     emit_demand_csv(series, out / "demand.csv")
     if len(series.years) >= 2:
         render_series_chart(series, out / "demand.svg")
@@ -272,9 +257,8 @@ def _cmd_demand(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_coverage(cfg: RunConfig) -> int:
-    v = cfg.values
-    pyramids = load_population_csv(v["population"], cfg.axis, v["base_year"])
+def _cmd_coverage(v: dict) -> int:
+    pyramids = load_population_csv(v["population"], AgeAxis(v["max_age"]), v["base_year"])
     unknowns = load_unknown_age_csv(v["unknown_age"]) if v["unknown_age"] else {}
     if unknowns and len(pyramids) != 1:
         raise DomainError("unknown-age allocation needs a single-region population file")
@@ -285,17 +269,16 @@ def _cmd_coverage(cfg: RunConfig) -> int:
         if unknowns:
             fixed = allocate_unknown_age(fixed, coverage_cfg)
         adjusted[code] = fixed
-    out = _ensure_out_dir(cfg)
+    out = _ensure_out_dir(v)
     emit_population_csv(adjusted, out / "adjusted_population.csv")
     return 0
 
 
-def _cmd_estimate(cfg: RunConfig) -> int:
-    v = cfg.values
+def _cmd_estimate(v: dict) -> int:
     observations = load_observations_csv(v["observations"])
     prior = PriorSpec(shape=v["prior_shape"], rate=v["prior_rate"])
     chain = metropolis_sample(observations, prior, v["samples"], v["seed"], v["proposal_scale"])
-    emit_posterior_csv(summarize_chain(chain), chain, _ensure_out_dir(cfg) / "posterior.csv")
+    emit_posterior_csv(summarize_chain(chain), chain, _ensure_out_dir(v) / "posterior.csv")
     return 0
 
 
@@ -311,10 +294,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _run_config(args)
+        values = _run_config(args)
         # an overflow is reported once, by the writer or check that rejects its result
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command][0](cfg)
+            return _COMMANDS[args.command][0](values)
     except UidforgeError as exc:
         print(f"uidforge {args.command}: error: {exc}", file=sys.stderr)
         return 1

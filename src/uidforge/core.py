@@ -10,7 +10,9 @@ and ``SurvivalSchedule.one_year`` hold). The CSV loaders fill that array
 directly and the projection and coverage arithmetic run on it; a cell is
 read from the array, or by ``AgePyramid.count``. A (sex, age) -> number
 mapping given to either constructor is copied into that array, and a
-cell off the axis is a ``DomainError``. An axis ends at
+cell off the axis is a ``DomainError``; ``Cells`` given to either must
+hold a float64 array and a bool mask of shape ``(2, n_ages)``, else a
+``DomainError``. An axis ends at
 :data:`MAX_AGE_LIMIT` at most.
 """
 
@@ -160,6 +162,20 @@ class Cells:
         )
 
 
+def _check_cells(cells: Cells, axis: AgeAxis):
+    """DomainError unless the array of ``cells`` is float64, its mask is
+    bool and both have shape ``(2, axis.n_ages)``."""
+    array, present, shape = cells.array, cells.present, (2, axis.n_ages)
+    if not (
+        array.dtype == np.float64 and present.dtype == bool
+        and array.shape == present.shape == shape
+    ):
+        raise DomainError(
+            f"cells must be a float64 array and a bool mask of shape {shape}, got "
+            f"{array.dtype} {array.shape} and {present.dtype} {present.shape}"
+        )
+
+
 @dataclass(frozen=True, eq=True)
 class AgePyramid:
     """Population counts by (sex, single-year age) for one region at one
@@ -169,10 +185,11 @@ class AgePyramid:
     at report time. ``counts`` is the :class:`Cells` behind the read-only
     ``array`` and its ``present`` mask; a (sex, age) -> number mapping
     given to the constructor is copied into that form, and a cell off the
-    axis is a DomainError. Otherwise the container is deliberately
-    permissive: sparse cells and negative or non-finite counts are
-    representable, and the CSV loaders, not the constructor, reject bad
-    input. Missing cells read as 0.0 through :meth:`count`.
+    axis is a DomainError, as are Cells of another dtype or shape than
+    float64 and bool ``(2, n_ages)``. Otherwise the container is
+    deliberately permissive: sparse cells and negative or non-finite
+    counts are representable, and the CSV loaders, not the constructor,
+    reject bad input. Missing cells read as 0.0 through :meth:`count`.
     """
 
     region: RegionId
@@ -181,7 +198,9 @@ class AgePyramid:
     counts: Cells | Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.counts, Cells):
+        if isinstance(self.counts, Cells):
+            _check_cells(self.counts, self.axis)
+        else:
             object.__setattr__(self, "counts", Cells.of(self.counts, self.axis))
 
     @property
@@ -248,7 +267,8 @@ class SurvivalSchedule:
     ``array[sex.row, x]`` is the chance that a person of age x lives to
     age x+1; ``one_year`` is the :class:`Cells` behind that read-only
     array, and a (sex, age) -> number mapping given to the constructor is
-    copied into that form. The schedule is dense: every age 0..max_age
+    copied into that form; Cells given to it are checked like a
+    pyramid's. The schedule is dense: every age 0..max_age
     must be present for both sexes, values lie in [0, 1], and the value
     at the last age of life is 0. Multi-year survival is always composed
     from these one-year factors, keeping a single source of truth; the
@@ -263,7 +283,9 @@ class SurvivalSchedule:
 
     def __post_init__(self):
         cells = self.one_year
-        if not isinstance(cells, Cells):
+        if isinstance(cells, Cells):
+            _check_cells(cells, self.axis)
+        else:
             cells = Cells.of(cells, self.axis)
         for sex in Sex:
             p, present = cells.array[sex.row], cells.present[sex.row]

@@ -4,6 +4,10 @@ All files are UTF-8, comma-delimited, with a required header row and
 LF line endings. Counts are written with shortest round-trip float
 formatting so that load(emit(x)) reproduces x bit-exactly; demand rows
 are the exception, rounded half-to-even to whole cards at emit time.
+Every input file is opened by one context manager, :func:`_table`, which
+checks the header and turns any read error inside it into a ParseError
+at line 0; data rows come from :func:`_rows`, or, in the column reader,
+straight from the csv reader. Numbers must be ASCII without ``_``.
 Population and survival files are read in blocks of rows straight into
 one ``(regions, 2, n_ages)`` array and presence mask per file; each
 region's pyramid or schedule is a view of it, and the population writer
@@ -55,29 +59,14 @@ _SEX_ROW = {sex.value: sex.row for sex in SEX_ROWS}
 _UNWRITABLE = frozenset(',"\r\n')
 #: data rows read and checked at a time
 _BLOCK = 4096
-#: what reading a file may raise, besides the checks of its rows
-_READ_ERRORS = (OSError, UnicodeDecodeError, csv.Error)
 
 
-def _read_error(path, exc: Exception) -> ParseError:
-    return ParseError(path, 0, f"cannot read file: {exc}")
-
-
+@contextlib.contextmanager
 def _table(path, *headers: list[str]):
     """Open ``path`` and match its stripped header row against the
-    accepted ``headers``. Return the matching header and a lazy iterator
-    of ``(line_no, stripped fields)`` over the data rows that skips blank
-    lines and rejects a row whose field count differs from the header's.
-    """
-    opened = _opened(path, headers)
-    header, reader = next(opened)
-    return header, _checked(path, header, reader, opened)
-
-
-def _opened(path, headers):
-    """Yield the matching header and the csv reader, positioned at the
-    first data row, and keep the file open until closed; a read error up
-    to the header is a ParseError at line 0."""
+    accepted ``headers``; yield the matching header and the csv reader,
+    positioned at the first data row. A read error anywhere in the
+    ``with`` block is a ParseError at line 0."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -87,35 +76,38 @@ def _opened(path, headers):
                 expected = " nor ".join(",".join(h) for h in headers)
                 raise ParseError(path, 1, f"header {','.join(header)!r} {verb} {expected}")
             yield header, reader
-    except _READ_ERRORS as exc:
-        raise _read_error(path, exc) from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(path, 0, f"cannot read file: {exc}") from exc
 
 
-def _checked(path, header, reader, opened):
-    """The data rows of :func:`_table`, read straight from ``reader``.
-    A row's line_no is the line it starts on, counting quoted fields
-    that span lines; a read error is a ParseError at line 0. Closes
-    ``opened`` at the end."""
-    with contextlib.closing(opened):
-        try:
-            line_no = reader.line_num + 1
-            for row in reader:
-                if row:
-                    if len(row) != len(header):
-                        raise ParseError(
-                            path, line_no, f"expected {len(header)} fields, got {len(row)}"
-                        )
-                    yield line_no, [f.strip() for f in row]
-                line_no = reader.line_num + 1
-        except _READ_ERRORS as exc:
-            raise _read_error(path, exc) from exc
+def _rows(path, header: list[str], reader):
+    """``(line_no, stripped fields)`` of each data row of ``reader``,
+    skipping blank lines and rejecting a row whose field count differs
+    from the header's. A row's line_no is the line it starts on, counting
+    quoted fields that span lines."""
+    line_no = reader.line_num + 1
+    for row in reader:
+        if row:
+            if len(row) != len(header):
+                raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
+            yield line_no, [f.strip() for f in row]
+        line_no = reader.line_num + 1
+
+
+def _plain(text: str) -> str:
+    """``text``, unless it holds a ``_`` or a non-ASCII character: then
+    ValueError. ``int`` and ``float`` would read ``1_000`` as 1000 and the
+    digits of other scripts as ASCII digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
 
 
 def _parse_float(path, line_no, field, text) -> float:
     """``text`` as a finite, non-negative float: every number the input
     schemas hold is a count, a probability, a rate or an exposure."""
     try:
-        value = float(text)
+        value = float(_plain(text))
     except ValueError:
         raise ParseError(path, line_no, f"{field} {text!r} is not a number") from None
     if not math.isfinite(value):
@@ -127,7 +119,7 @@ def _parse_float(path, line_no, field, text) -> float:
 
 def _parse_int(path, line_no, field, text) -> int:
     try:
-        return int(text)
+        return int(_plain(text))
     except ValueError:
         raise ParseError(path, line_no, f"{field} {text!r} is not an integer") from None
 
@@ -148,7 +140,7 @@ def _region_cells(path, header: list[str], axis: AgeAxis) -> dict:
     reader does not take (blank lines, blanks around a field)."""
     try:
         read = _column_keys(path, header, axis)
-    except (ParseError, ValueError, KeyError, *_READ_ERRORS):
+    except (ParseError, ValueError, KeyError):
         read = None
     slots, keys, values = read or _row_keys(path, header, axis)
     shape = (len(slots), 2, axis.n_ages)
@@ -162,13 +154,11 @@ def _column_keys(path, header: list[str], axis: AgeAxis):
     file read as columns, a block of rows at a time. Every row must have
     four fields, a region code without surrounding blanks, commas, quotes
     or line breaks, a sex of M or F, an age written as one of the axis's
-    ages and a finite non-negative number, and no key may repeat; else
-    ValueError or KeyError. A read error goes up as it is."""
-    opened = _opened(path, [header])
-    _, reader = next(opened)
+    ages and a finite non-negative number in ASCII without ``_``, and no
+    key may repeat; else ValueError or KeyError."""
     age_of = _age_of(axis)
     slots, keys, values = {}, [np.zeros(0, np.intp)], [np.zeros(0)]
-    with contextlib.closing(opened):
+    with _table(path, header) as (_, reader):
         while block := list(itertools.islice(reader, _BLOCK)):
             regions, sexes, ages, texts = zip(*block, strict=True)
             for code in dict.fromkeys(regions):
@@ -179,6 +169,7 @@ def _column_keys(path, header: list[str], axis: AgeAxis):
             sex = np.fromiter(map(_SEX_ROW.__getitem__, sexes), np.intp, len(block))
             age = np.fromiter(map(age_of.__getitem__, ages), np.intp, len(block))
             keys.append((2 * slot + sex) * axis.n_ages + age)
+            _plain("".join(texts))
             values.append(np.fromiter(map(float, texts), float, len(block)))
             if not ((values[-1] >= 0) & (values[-1] < math.inf)).all():
                 raise ValueError("a value is negative or not finite")
@@ -198,24 +189,24 @@ def _row_keys(path, header: list[str], axis: AgeAxis):
     """:func:`_column_keys` row by row, rejecting at its line an empty
     region or one with a comma, quote or line break, a bad sex, an age
     off ``axis``, a negative or non-finite value and a duplicate key."""
-    _, rows = _table(path, header)
     slots: dict[str, int] = {}
     cells: dict[int, float] = {}
-    for line_no, (region, sex_txt, age_txt, value_txt) in rows:
-        if not region:
-            raise ParseError(path, line_no, "region code is empty")
-        if not _UNWRITABLE.isdisjoint(region):
-            raise ParseError(
-                path, line_no, f"region code {region!r} holds a comma, quote or line break"
-            )
-        sex = _parse_sex(path, line_no, sex_txt)
-        age = _parse_int(path, line_no, "age", age_txt)
-        if not axis.contains(age):
-            raise ParseError(path, line_no, f"age {age} outside axis 0..{axis.max_age}")
-        key = (2 * slots.setdefault(region, len(slots)) + sex.row) * axis.n_ages + age
-        if key in cells:
-            raise DataError(path, line_no, f"duplicate key ({region}, {sex.value}, {age})")
-        cells[key] = _parse_float(path, line_no, header[-1], value_txt)
+    with _table(path, header) as (_, reader):
+        for line_no, (region, sex_txt, age_txt, value_txt) in _rows(path, header, reader):
+            if not region:
+                raise ParseError(path, line_no, "region code is empty")
+            if not _UNWRITABLE.isdisjoint(region):
+                raise ParseError(
+                    path, line_no, f"region code {region!r} holds a comma, quote or line break"
+                )
+            sex = _parse_sex(path, line_no, sex_txt)
+            age = _parse_int(path, line_no, "age", age_txt)
+            if not axis.contains(age):
+                raise ParseError(path, line_no, f"age {age} outside axis 0..{axis.max_age}")
+            key = (2 * slots.setdefault(region, len(slots)) + sex.row) * axis.n_ages + age
+            if key in cells:
+                raise DataError(path, line_no, f"duplicate key ({region}, {sex.value}, {age})")
+            cells[key] = _parse_float(path, line_no, header[-1], value_txt)
     keys = np.fromiter(cells, np.intp, len(cells))
     return slots, keys, np.fromiter(cells.values(), float, len(cells))
 
@@ -259,19 +250,19 @@ def load_flows_csv(path) -> list[StateFlows]:
     the file is rate-based or count-based. A rate row becomes the counts
     it implies (:func:`counts_from_rates`). Count-based loads must
     satisfy interstate closure (total in == total out)."""
-    header, rows = _table(path, FLOWS_RATE_HEADER, FLOWS_COUNT_HEADER)
-    record = StateFlows if header == FLOWS_COUNT_HEADER else _rate_row
     out = []
     seen = set()
-    for line_no, (state, *fields) in rows:
-        if state in seen:
-            raise DataError(path, line_no, f"duplicate state {state!r}")
-        seen.add(state)
-        values = [_parse_float(path, line_no, name, txt) for name, txt in zip(header[1:], fields)]
-        try:
-            out.append(record(RegionId(state, RegionLevel.STATE), *values))
-        except DomainError as exc:
-            raise DataError(path, line_no, str(exc)) from exc
+    with _table(path, FLOWS_RATE_HEADER, FLOWS_COUNT_HEADER) as (header, reader):
+        record = StateFlows if header == FLOWS_COUNT_HEADER else _rate_row
+        for line_no, (state, *fields) in _rows(path, header, reader):
+            if state in seen:
+                raise DataError(path, line_no, f"duplicate state {state!r}")
+            seen.add(state)
+            values = [_parse_float(path, line_no, name, t) for name, t in zip(header[1:], fields)]
+            try:
+                out.append(record(RegionId(state, RegionLevel.STATE), *values))
+            except DomainError as exc:
+                raise DataError(path, line_no, str(exc)) from exc
     if record is StateFlows:
         check_interstate_closure(out)
     return out
@@ -279,40 +270,40 @@ def load_flows_csv(path) -> list[StateFlows]:
 
 def load_fertility_csv(path) -> dict:
     """Load ``age,rate`` rows into an age -> rate mapping."""
-    _, rows = _table(path, FERTILITY_HEADER)
     rates: dict[int, float] = {}
-    for line_no, (age_txt, rate_txt) in rows:
-        age = _parse_int(path, line_no, "age", age_txt)
-        if age in rates:
-            raise DataError(path, line_no, f"duplicate age {age}")
-        rates[age] = _parse_float(path, line_no, "rate", rate_txt)
+    with _table(path, FERTILITY_HEADER) as (header, reader):
+        for line_no, (age_txt, rate_txt) in _rows(path, header, reader):
+            age = _parse_int(path, line_no, "age", age_txt)
+            if age in rates:
+                raise DataError(path, line_no, f"duplicate age {age}")
+            rates[age] = _parse_float(path, line_no, "rate", rate_txt)
     return rates
 
 
 def load_observations_csv(path) -> list:
     """Load ``year,count,exposure`` demand observations."""
-    _, rows = _table(path, OBSERVATIONS_HEADER)
     out = []
-    for line_no, (year_txt, count_txt, exposure_txt) in rows:
-        year = _parse_int(path, line_no, "year", year_txt)
-        count = _parse_int(path, line_no, "count", count_txt)
-        exposure = _parse_float(path, line_no, "exposure", exposure_txt)
-        try:
-            out.append(DemandObservation(year, count, exposure))
-        except DomainError as exc:
-            raise DataError(path, line_no, str(exc)) from exc
+    with _table(path, OBSERVATIONS_HEADER) as (header, reader):
+        for line_no, (year_txt, count_txt, exposure_txt) in _rows(path, header, reader):
+            year = _parse_int(path, line_no, "year", year_txt)
+            count = _parse_int(path, line_no, "count", count_txt)
+            exposure = _parse_float(path, line_no, "exposure", exposure_txt)
+            try:
+                out.append(DemandObservation(year, count, exposure))
+            except DomainError as exc:
+                raise DataError(path, line_no, str(exc)) from exc
     return out
 
 
 def load_unknown_age_csv(path) -> dict:
     """Load ``sex,count`` unknown-age totals."""
-    _, rows = _table(path, UNKNOWN_AGE_HEADER)
     out: dict[Sex, float] = {}
-    for line_no, (sex_txt, count_txt) in rows:
-        sex = _parse_sex(path, line_no, sex_txt)
-        if sex in out:
-            raise DataError(path, line_no, f"duplicate sex {sex.value}")
-        out[sex] = _parse_float(path, line_no, "count", count_txt)
+    with _table(path, UNKNOWN_AGE_HEADER) as (header, reader):
+        for line_no, (sex_txt, count_txt) in _rows(path, header, reader):
+            sex = _parse_sex(path, line_no, sex_txt)
+            if sex in out:
+                raise DataError(path, line_no, f"duplicate sex {sex.value}")
+            out[sex] = _parse_float(path, line_no, "count", count_txt)
     return out
 
 

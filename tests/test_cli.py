@@ -11,18 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uidforge import DomainError, RegionId, RegionLevel, StateRates, counts_from_rates
+from uidforge import RegionId, RegionLevel, StateRates, counts_from_rates
 from uidforge import cli
-from uidforge.cli import _OPTIONS, RunConfig, _as_path, _build_parser, _run_config, main
-
-
-class TestRunConfig:
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(DomainError, match="horizon must be >= 0"):
-            RunConfig("project", {"max_age": 100, "horizon": -1})
-
-    def test_axis_comes_from_max_age(self):
-        assert RunConfig("project", {"max_age": 60}).axis.max_age == 60
+from uidforge.cli import _OPTIONS, _as_path, _build_parser, _run_config, main
 
 
 def write_population(path, region="IN", max_age=60, female=None, male=None):
@@ -311,6 +302,13 @@ class TestDemandCommand:
         assert demand[1].startswith("2012,")
         svg = (inputs["out"] / "demand.svg").read_text()
         assert svg.count("<polyline") == 2
+
+    def test_one_year_writes_the_series_and_skips_the_chart(self, inputs, capsys):
+        assert main(self.demand_args(inputs, "--horizon", "1")) == 0
+        demand = (inputs["out"] / "demand.csv").read_text().splitlines()
+        assert len(demand) == 2 and demand[1].startswith("2012,")
+        assert sorted(p.name for p in inputs["out"].iterdir()) == ["demand.csv"]
+        assert capsys.readouterr().err == "demand: skipping chart (needs at least 2 rows)\n"
 
     def test_policy_flag_changes_output(self, inputs, tmp_path):
         assert main(self.demand_args(inputs, "--policy", "full")) == 0
@@ -708,13 +706,13 @@ class TestOptionTable:
     def test_flag_and_config_key_give_equal_values(self, flag_values, tmp_path, command, sep):
         values = flag_values[command]
         assert set(values) == {name for name, row in _OPTIONS.items() if command in row[0]}
-        by_flag = run_config(as_argv(command, values)).values
+        by_flag = run_config(as_argv(command, values))
         assert set(by_flag) == set(values)
         config = tmp_path / "one.cfg"
         for name, value in values.items():
             config.write_text(f"{name.replace('_', sep)} = {value}\n", encoding="utf-8")
             rest = {key: v for key, v in values.items() if key != name}
-            by_key = run_config(as_argv(command, rest) + ["--config", str(config)]).values
+            by_key = run_config(as_argv(command, rest) + ["--config", str(config)])
             assert by_key == by_flag, name
 
     @pytest.mark.parametrize(
@@ -747,6 +745,65 @@ class TestOptionTable:
         assert err.endswith(f"--{option.replace('_', '-')} path is empty\n")
         assert list(cwd.iterdir()) == []
         assert not Path(flag_values[command]["out"]).exists()
+
+
+def header_only_population(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("region,sex,age,count\n", encoding="utf-8")
+    return str(path)
+
+
+def survival_of_other_regions(tmp_path):
+    path = write_survival(tmp_path / "two.csv", region="A")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines += [line.replace("A,", "B,", 1) for line in lines[1:]]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def config_without_equals(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# seed\nseed 3\n", encoding="utf-8")
+    return str(path)
+
+
+#: name -> (command, option, its bad value or a function of tmp_path that
+#: writes it, the message; ``{name}`` in it is the value of that option)
+BAD_RUNS = {
+    "negative-horizon": ("project", "horizon", "-1", "horizon must be >= 0, got -1"),
+    "sex-ratio-not-a-number": (
+        "demand", "sex_ratio", "abc", "--sex-ratio must be a number, got 'abc'"
+    ),
+    "header-only-population": (
+        "project", "population", header_only_population, "population file contains no data rows"
+    ),
+    "survival-lacks-the-region": (
+        "project",
+        "survival",
+        survival_of_other_regions,
+        "no survival schedule for region 'IN' and the file is not single-region",
+    ),
+    "missing-config-file": (
+        "coverage",
+        "config",
+        lambda tmp_path: str(tmp_path / "missing.cfg"),
+        "cannot read config file {config}: [Errno 2] No such file or directory: {config!r}",
+    ),
+    "config-line-without-equals": (
+        "estimate", "config", config_without_equals, "{config}:2: expected key=value, got 'seed 3'"
+    ),
+}
+
+
+@pytest.mark.parametrize("command, option, value, message", BAD_RUNS.values(), ids=BAD_RUNS)
+def test_bad_input_fails_in_one_line_before_any_output(
+    flag_values, tmp_path, capsys, command, option, value, message
+):
+    values = {**flag_values[command], option: value(tmp_path) if callable(value) else value}
+    assert main(as_argv(command, values)) == 1
+    err = assert_one_line_error(capsys, command)
+    assert err == f"uidforge {command}: error: {message.format(**values)}\n"
+    assert not Path(values["out"]).exists()
 
 
 # ---------------------------------------------------------------- fuzz

@@ -242,6 +242,33 @@ class TestPyramidBasics:
         assert str(pyramid_error.value) == str(schedule_error.value)
         assert str(schedule_error.value) == "cell (M, 9) lies beyond the axis 0..5"
 
+    @pytest.mark.parametrize(
+        "array, present, got",
+        [
+            (np.zeros((2, 50)), None, "float64 (2, 50) and bool (2, 50)"),
+            (np.zeros((3, 6)), None, "float64 (3, 6) and bool (3, 6)"),
+            (np.zeros((2, 6), dtype=np.float32), None, "float32 (2, 6) and bool (2, 6)"),
+            (np.zeros((2, 6)), np.ones((2, 6), dtype=np.int64), "float64 (2, 6) and int64 (2, 6)"),
+            (np.zeros((2, 6)), np.ones((2, 5), dtype=bool), "float64 (2, 6) and bool (2, 5)"),
+        ],
+        ids=["short", "three-rows", "float32", "int-mask", "short-mask"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda region, axis, cells: AgePyramid(region, 2011, axis, cells),
+            lambda region, axis, cells: SurvivalSchedule(region, axis, cells),
+        ],
+        ids=["pyramid", "schedule"],
+    )
+    def test_cells_of_another_shape_or_dtype_rejected(self, region, build, array, present, got):
+        # such cells used to fail later, in projection, with a numpy broadcast error
+        with pytest.raises(DomainError) as err:
+            build(region, AgeAxis(5), Cells(array, present))
+        assert str(err.value) == (
+            f"cells must be a float64 array and a bool mask of shape (2, 6), got {got}"
+        )
+
     def test_count_reads_zero_for_an_absent_or_off_axis_cell(self, region):
         pyr = AgePyramid(region, 2011, AgeAxis(3), {(Sex.FEMALE, 1): 2.0})
         assert pyr.count(Sex.FEMALE, 1) == 2.0

@@ -127,6 +127,39 @@ class TestReader:
                 load(path)
             assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("text", ["1_0", "\u0661\u0662"], ids=["underscore", "arabic-indic"])
+    def test_number_with_an_underscore_or_other_digits_raises_at_its_line(
+        self, tmp_path, load, header, rows, text
+    ):
+        # float() reads 1_0 as 10.0 and the Arabic-Indic digits 12 as 12.0
+        bad = rows[0].rsplit(",", 1)[0] + "," + text
+        path = write(tmp_path, "digits.csv", "\n".join([header, *rows[1:], bad]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load(path)
+        line_no, field = len(rows) + 1, header.rsplit(",", 1)[1]
+        assert str(err.value) == f"{path}:{line_no}: {field} {text!r} is not a number"
+
+
+#: name -> (loader, header, a data row with ``{}`` for an integer field, the field)
+INTEGER_FIELDS = {
+    "population-age": (load_population_csv, "region,sex,age,count", "IN,F,{},1", "age"),
+    "fertility-age": (load_fertility_csv, "age,rate", "{},0.1", "age"),
+    "observations-year": (load_observations_csv, "year,count,exposure", "{},4,1.0", "year"),
+    "observations-count": (load_observations_csv, "year,count,exposure", "2011,{},1.0", "count"),
+}
+
+
+@pytest.mark.parametrize("text", ["2_0", "\u0663"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("load, header, row, field", INTEGER_FIELDS.values(), ids=INTEGER_FIELDS)
+def test_integer_with_an_underscore_or_other_digits_raises_at_its_line(
+    tmp_path, load, header, row, field, text
+):
+    # int() reads 2_0 as 20 and the Arabic-Indic digit 3 as 3
+    path = write(tmp_path, "digits.csv", f"{header}\n{row.format(text)}\n")
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == f"{path}:2: {field} {text!r} is not an integer"
+
 
 class TestLoadPopulation:
     def test_header_only_is_empty_dataset(self, tmp_path):
@@ -425,6 +458,19 @@ BLOCK_CASES = {
     ),
     "blank line after the bad row": (
         {4600: {"age": "2.5"}, 4650: ""}, ParseError, 4600, "age '2.5' is not an integer"
+    ),
+    "underscore in an age": (
+        {4600: {"age": "1_5"}}, ParseError, 4600, "age '1_5' is not an integer"
+    ),
+    "other digits in an age": (
+        {4600: {"age": "\u0663"}}, ParseError, 4600, "age '\u0663' is not an integer"
+    ),
+    "underscore in a value": (
+        {4600: {"value": "1_000"}}, ParseError, 4600, "{field} '1_000' is not a number"
+    ),
+    "other digits in a value": (
+        {4600: {"value": "\u0661\u0662"}},
+        ParseError, 4600, "{field} '\u0661\u0662' is not a number",
     ),
 }
 

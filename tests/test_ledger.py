@@ -231,8 +231,9 @@ class TestDemandSeries:
             (np.array([2**63 - 1, -(2**63)]),
              "years must be consecutive, got [9223372036854775807, -9223372036854775808]"),
             ([1.5, 2.5], "years must be integers, got [1.5, 2.5]"),
+            ([[2012, 2013]], "years must be consecutive, got [[2012, 2013]]"),
         ],
-        ids=["beyond-int64", "wrapping-diff", "fractional"],
+        ids=["beyond-int64", "wrapping-diff", "fractional", "two-dimensional"],
     )
     def test_bad_year_labels_fail_in_one_line(self, years, message):
         n = len(years)

@@ -142,6 +142,22 @@ class TestProjectBirths:
         assert births.tobytes() == frame.tobytes()
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda pop, sched: project_births(pop, sched, FertilityConfig.flat(0.1, 1.0, 1.05)),
+        lambda pop, sched: survive_cohorts(pop, sched, 1),
+    ],
+    ids=["project_births", "survive_cohorts"],
+)
+def test_pyramid_and_schedule_on_different_axes_rejected(region, step):
+    pop = dense_pyramid(region, 2011, AgeAxis(100), female={20: 1.0})
+    sched = SurvivalSchedule.flat(region, AgeAxis(60), 0.9)
+    with pytest.raises(DomainError) as err:
+        step(pop, sched)
+    assert str(err.value) == "pyramid axis (max_age 100) does not match survival axis (max_age 60)"
+
+
 class TestInfantSurvival:
     def test_sixty_per_thousand(self):
         fert = FertilityConfig.flat(0.1, 1.0, 1.0, infant_mortality=60.0)
