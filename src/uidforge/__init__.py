@@ -34,8 +34,6 @@ from .core import (
     SurvivalSchedule,
 )
 from .coverage import (
-    CoverageConfig,
-    DualSystemCounts,
     allocate_unknown_age,
     apply_omission_adjustment,
     dual_system_estimate,

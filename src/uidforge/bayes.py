@@ -139,7 +139,10 @@ def metropolis_sample(
         )
 
     rng = np.random.default_rng(seed)
-    steps = rng.standard_normal(n_samples) * proposal_scale
+    try:
+        steps = rng.standard_normal(n_samples) * proposal_scale
+    except ValueError:  # more bytes than one array can address
+        raise DomainError(f"n_samples {n_samples} is too many for one array") from None
     log_unifs = np.log(rng.random(n_samples))
 
     # the walk runs on Python floats, converted one block at a time so

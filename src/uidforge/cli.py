@@ -22,8 +22,9 @@ import numpy as np
 
 from .bayes import PriorSpec, metropolis_sample, summarize_chain
 from .core import AgeAxis, FertilityConfig
-from .coverage import CoverageConfig, allocate_unknown_age, apply_omission_adjustment
+from .coverage import _omission_factor, allocate_unknown_age, apply_omission_adjustment
 from .csvio import (
+    _plain,
     emit_demand_csv,
     emit_population_csv,
     emit_posterior_csv,
@@ -45,14 +46,14 @@ SEED_ENV_VAR = "UIDFORGE_SEED"
 
 def _as_int(flag: str, value) -> int:
     try:
-        return int(value)
+        return int(_plain(value))
     except (TypeError, ValueError):
         raise DomainError(f"--{flag} must be an integer, got {value!r}") from None
 
 
 def _as_float(flag: str, value) -> float:
     try:
-        return float(value)
+        return float(_plain(value))
     except (TypeError, ValueError):
         raise DomainError(f"--{flag} must be a number, got {value!r}") from None
 
@@ -262,12 +263,12 @@ def _cmd_coverage(v: dict) -> int:
     unknowns = load_unknown_age_csv(v["unknown_age"]) if v["unknown_age"] else {}
     if unknowns and len(pyramids) != 1:
         raise DomainError("unknown-age allocation needs a single-region population file")
-    coverage_cfg = CoverageConfig(omission_per_1000=v["omission"], unknown_age_counts=unknowns)
+    _omission_factor(v["omission"])  # a bad rate fails even with no region to adjust
     adjusted = {}
     for code, pyramid in pyramids.items():
-        fixed = apply_omission_adjustment(pyramid, coverage_cfg)
+        fixed = apply_omission_adjustment(pyramid, v["omission"])
         if unknowns:
-            fixed = allocate_unknown_age(fixed, coverage_cfg)
+            fixed = allocate_unknown_age(fixed, unknowns)
         adjusted[code] = fixed
     out = _ensure_out_dir(v)
     emit_population_csv(adjusted, out / "adjusted_population.csv")

@@ -361,7 +361,7 @@ class FertilityConfig:
         if not 0.0 <= self.eligible_proportion <= 1.0:
             raise DomainError("eligible_proportion must lie in [0, 1]")
         if not (math.isfinite(self.sex_ratio_at_birth) and self.sex_ratio_at_birth > 0):
-            raise DomainError("sex_ratio_at_birth must be > 0")
+            raise DomainError("sex_ratio_at_birth must be finite and > 0")
         if not 0.0 <= self.infant_mortality <= 1000.0:
             raise DomainError("infant_mortality must lie in [0, 1000] per 1000 births")
 

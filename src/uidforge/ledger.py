@@ -302,7 +302,6 @@ def _simulate(pop, survival, fert, flows, horizon, policy):
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     for year in (pop.time_label, pop.time_label + horizon):
         _check_year(year)
-    years = np.arange(pop.time_label, pop.time_label + horizon + 1, dtype=np.int64)
     cards_at_birth = policy is IssuancePolicy.NUMBER_AND_CARD_AT_BIRTH
     male, female = Sex.MALE.row, Sex.FEMALE.row
     # male ages first, then female ages: the order of iterating Sex
@@ -352,6 +351,8 @@ def _simulate(pop, survival, fert, flows, horizon, policy):
         process_card_returns(returned.item(k), released.item(k), active, links)
 
     new = newborn + age15 + half_inflow
+    # built after the projection, which rejects a horizon too long for one array
+    years = np.arange(pop.time_label, pop.time_label + horizon + 1, dtype=np.int64)
     demand = DemandSeries(years[1:], new[:, male], new[:, female], returned)
     issued, returns = np.diff(cards_in, prepend=cards_in[0]), np.diff(cards_out, prepend=0)
     return demand, (years, cards_in - cards_out, issued, returns, links_in - links_out)

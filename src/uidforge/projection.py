@@ -219,7 +219,10 @@ def project_population(
     if horizon < 0:
         raise DomainError(f"horizon must be >= 0, got {horizon}")
     region, start, axis = pop.region, pop.time_label, pop.axis
-    counts = np.empty((horizon + 1, 2, axis.n_ages))
+    try:
+        counts = np.empty((horizon + 1, 2, axis.n_ages))
+    except ValueError:  # more bytes than one array can address
+        raise DomainError(f"horizon {horizon} is too long for one array of frames") from None
     counts[0] = pop.array
     # a read-only view, so that a frame's Cells need not clear the flag
     frames = counts.view()

@@ -11,8 +11,6 @@ import pytest
 
 from uidforge import (
     AgeAxis,
-    CoverageConfig,
-    DualSystemCounts,
     FertilityConfig,
     IssuancePolicy,
     PriorSpec,
@@ -178,15 +176,13 @@ def test_criterion_05_macro_micro_agreement():
 
 
 def test_criterion_06_dual_system_and_omission_inversion():
-    assert dual_system_estimate(DualSystemCounts(900, 800, 720)) == 1000.0
+    assert dual_system_estimate(900, 800, 720) == 1000.0
 
     axis = AgeAxis(10)
     pyramid = dense_pyramid(INDIA, 2011, axis, female={5: 98765.4321}, male={7: 1234.5})
     base = pyramid.total()
     for rate in range(1, 1000):
-        adjusted = apply_omission_adjustment(
-            pyramid, CoverageConfig(omission_per_1000=float(rate))
-        )
+        adjusted = apply_omission_adjustment(pyramid, float(rate))
         back = adjusted.total() * (1.0 - rate / 1000.0)
         assert abs(back - base) / base < 1e-9
 

@@ -247,6 +247,13 @@ class TestProjectCommand:
         assert "region IN" in err and "not finite in year" in err
         assert not (inputs["out"] / "projection.csv").exists()
 
+    def test_horizon_too_long_for_one_array_leaves_no_file(self, flag_values, capsys):
+        values = {**flag_values["project"], "horizon": "10000000000000000"}
+        assert main(as_argv("project", values)) == 1
+        err = assert_one_line_error(capsys, "project")
+        assert err.endswith("horizon 10000000000000000 is too long for one array of frames\n")
+        assert not (Path(values["out"]) / "projection.csv").exists()
+
     def test_missing_required_flag_fails(self, inputs, capsys):
         code = main(
             [
@@ -556,11 +563,13 @@ class TestEstimateCommand:
 
     def test_bad_env_seed_fails_in_one_line(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
-        monkeypatch.setenv("UIDFORGE_SEED", "abc")
-        assert main(self.estimate_args(tmp_path, out)) == 1
-        err = assert_one_line_error(capsys, "estimate")
-        assert "--seed must be an integer, got 'abc'" in err
-        assert not (out / "posterior.csv").exists()
+        # not a number, then numbers outside the CSV number rule
+        for text in ("abc", "1_0", "\u0661"):
+            monkeypatch.setenv("UIDFORGE_SEED", text)
+            assert main(self.estimate_args(tmp_path, out)) == 1
+            err = assert_one_line_error(capsys, "estimate")
+            assert f"--seed must be an integer, got {text!r}" in err
+            assert not (out / "posterior.csv").exists()
 
     @pytest.mark.parametrize("spelling", ["flag", "env"])
     def test_negative_seed_fails_in_one_line(self, tmp_path, monkeypatch, capsys, spelling):
@@ -767,42 +776,110 @@ def config_without_equals(tmp_path):
     return str(path)
 
 
-#: name -> (command, option, its bad value or a function of tmp_path that
-#: writes it, the message; ``{name}`` in it is the value of that option)
+def header_only_unknown_age(tmp_path):
+    path = tmp_path / "no_unknowns.csv"
+    path.write_text("sex,count\n", encoding="utf-8")
+    return str(path)
+
+
+#: name -> (command, {option: its bad value, or a function of tmp_path
+#: that writes it}, the message; ``{name}`` in it is the value of that option)
 BAD_RUNS = {
-    "negative-horizon": ("project", "horizon", "-1", "horizon must be >= 0, got -1"),
+    "negative-horizon": ("project", {"horizon": "-1"}, "horizon must be >= 0, got -1"),
     "sex-ratio-not-a-number": (
-        "demand", "sex_ratio", "abc", "--sex-ratio must be a number, got 'abc'"
+        "demand", {"sex_ratio": "abc"}, "--sex-ratio must be a number, got 'abc'"
     ),
     "header-only-population": (
-        "project", "population", header_only_population, "population file contains no data rows"
+        "project",
+        {"population": header_only_population},
+        "population file contains no data rows",
     ),
     "survival-lacks-the-region": (
         "project",
-        "survival",
-        survival_of_other_regions,
+        {"survival": survival_of_other_regions},
         "no survival schedule for region 'IN' and the file is not single-region",
     ),
     "missing-config-file": (
         "coverage",
-        "config",
-        lambda tmp_path: str(tmp_path / "missing.cfg"),
+        {"config": lambda tmp_path: str(tmp_path / "missing.cfg")},
         "cannot read config file {config}: [Errno 2] No such file or directory: {config!r}",
     ),
     "config-line-without-equals": (
-        "estimate", "config", config_without_equals, "{config}:2: expected key=value, got 'seed 3'"
+        "estimate",
+        {"config": config_without_equals},
+        "{config}:2: expected key=value, got 'seed 3'",
+    ),
+    # no region to adjust: the rate is still checked
+    "omission-of-a-header-only-population": (
+        "coverage",
+        {
+            "population": header_only_population,
+            "unknown_age": header_only_unknown_age,
+            "omission": "1000",
+        },
+        "omission_per_1000 must lie in [0, 1000)",
+    ),
+    "horizon-too-long-for-one-array": (
+        "demand",
+        {"horizon": "4611686018427387904"},
+        "horizon 4611686018427387904 is too long for one array of frames",
+    ),
+    "samples-too-many-for-one-array": (
+        "estimate",
+        {"samples": "2000000000000000000"},
+        "n_samples 2000000000000000000 is too many for one array",
     ),
 }
 
 
-@pytest.mark.parametrize("command, option, value, message", BAD_RUNS.values(), ids=BAD_RUNS)
+@pytest.mark.parametrize("command, bad, message", BAD_RUNS.values(), ids=BAD_RUNS)
 def test_bad_input_fails_in_one_line_before_any_output(
-    flag_values, tmp_path, capsys, command, option, value, message
+    flag_values, tmp_path, capsys, command, bad, message
 ):
-    values = {**flag_values[command], option: value(tmp_path) if callable(value) else value}
+    bad = {option: value(tmp_path) if callable(value) else value for option, value in bad.items()}
+    values = {**flag_values[command], **bad}
     assert main(as_argv(command, values)) == 1
     err = assert_one_line_error(capsys, command)
     assert err == f"uidforge {command}: error: {message.format(**values)}\n"
+    assert not Path(values["out"]).exists()
+
+
+#: (command, option) for every option that takes a number
+NUMERIC = [
+    (command, name)
+    for name, (commands, parse, _, _) in _OPTIONS.items()
+    if parse in (cli._as_int, cli._as_float)
+    for command in commands
+]
+#: texts that ``int`` or ``float`` read but that are not numbers under
+#: the CSV rule (``1_0``, other digits), or not finite
+NOT_PLAIN = ["1_0", "\u0661"]
+NOT_FINITE = ["inf", "nan"]
+
+
+@pytest.mark.parametrize("text", NOT_PLAIN + NOT_FINITE)
+@pytest.mark.parametrize("channel", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, option", NUMERIC, ids=[f"{command}-{option}" for command, option in NUMERIC]
+)
+def test_number_outside_the_csv_rule_fails_in_one_line(
+    flag_values, tmp_path, capsys, command, option, channel, text
+):
+    values = dict(flag_values[command])
+    if channel == "flag":
+        values[option] = text
+        argv = as_argv(command, values)
+    else:
+        del values[option]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option}={text}\n", encoding="utf-8")
+        argv = as_argv(command, values) + ["--config", str(config)]
+    assert main(argv) == 1
+    err = assert_one_line_error(capsys, command)
+    is_int = _OPTIONS[option][1] is cli._as_int
+    if text in NOT_PLAIN or is_int:
+        kind = "an integer" if is_int else "a number"
+        assert err.endswith(f"--{option.replace('_', '-')} must be {kind}, got {text!r}\n")
     assert not Path(values["out"]).exists()
 
 
@@ -906,6 +983,10 @@ def _fuzz_runs(draw):
         extra += ["--base-year", str(draw(_BASE_YEAR))]
         if command == "demand":
             extra += ["--policy", draw(st.sampled_from(["at-birth", "at-age-one", "full"]))]
+    if draw(st.integers(0, 7)) == 0:
+        # in about one draw in eight, one flag value holds `_`, other digits or no finite number
+        k = draw(st.integers(0, len(extra) // 2 - 1))
+        extra[2 * k + 1] = draw(st.sampled_from(NOT_PLAIN + NOT_FINITE))
     return command, texts, target, rows, extra
 
 

@@ -6,7 +6,6 @@ import pytest
 from uidforge import (
     AgeAxis,
     AgePyramid,
-    CoverageConfig,
     DemandSeries,
     DomainError,
     FertilityConfig,
@@ -16,6 +15,8 @@ from uidforge import (
     StateFlows,
     StateRates,
     SurvivalSchedule,
+    allocate_unknown_age,
+    dual_system_estimate,
 )
 from uidforge.core import MAX_AGE_LIMIT, SEX_ROWS, Cells, _all_present
 from conftest import dense_pyramid
@@ -341,8 +342,10 @@ _COUNTS = dict(
 )
 _RATES = dict(population=1e6, birth_rate=0.02, death_rate=0.01, in_rate=0.0, out_rate=0.0)
 _SERIES = dict(new_male=[1.0], new_female=[1.0], returned=[0.0])
+_PYRAMID = dense_pyramid(RegionId("A"), 2011, AgeAxis(3), female={1: 1.0}, male={1: 1.0})
 
-# (record.field, build(value)) for every number the shared validator guards
+# (record.field or function.argument, build(value)) for every number the
+# shared validator guards
 _VALIDATED = (
     [(f"StateFlows.{n}", lambda v, n=n: StateFlows(_STATE, **{**_COUNTS, n: v})) for n in _COUNTS]
     + [(f"StateRates.{n}", lambda v, n=n: StateRates(_STATE, **{**_RATES, n: v})) for n in _RATES]
@@ -351,8 +354,13 @@ _VALIDATED = (
         for n in _SERIES
     ]
     + [
-        ("CoverageConfig.unknown_M", lambda v: CoverageConfig(unknown_age_counts={Sex.MALE: v})),
-        ("CoverageConfig.unknown_F", lambda v: CoverageConfig(unknown_age_counts={Sex.FEMALE: v})),
+        (f"allocate_unknown_age.{s.name}", lambda v, s=s: allocate_unknown_age(_PYRAMID, {s: v}))
+        for s in Sex
+    ]
+    + [
+        ("dual_system_estimate.first_list", lambda v: dual_system_estimate(v, 1, 1)),
+        ("dual_system_estimate.second_list", lambda v: dual_system_estimate(1, v, 1)),
+        ("dual_system_estimate.matched", lambda v: dual_system_estimate(1, 1, v)),
     ]
 )
 

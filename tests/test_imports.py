@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/uidforge`` is used by its module.
+"""Every module-level import in ``src/uidforge`` is used by its module,
+and importing the CLI loads no module it only needs on some paths.
 
 Names are collected with the standard library's ``ast``: an import is
 used when its bound name appears anywhere in the module's code (quoted
@@ -8,6 +9,9 @@ is skipped, as are ``from __future__`` imports and lines marked
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,14 @@ def test_no_unused_module_level_import(path):
         if name not in used
     }
     assert unused == {}, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the writer imports multiprocessing only when it forks workers;
+    # loaded by every command, it would cost each about 13 ms
+    probe = "import sys, uidforge.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
