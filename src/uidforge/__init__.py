@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`uidforge.core` — age axis, regions, pyramids, survival and
-  fertility schedules.
+- :mod:`uidforge.core` — age axis, pyramids, survival and fertility
+  schedules; a region is its code, a plain ``str``.
 - :mod:`uidforge.projection` — births, cohort survival, projection loop.
 - :mod:`uidforge.ledger` — macro/micro card-flow models and the card
   simulation (age-15 transition, card returns) behind the annual demand
@@ -28,8 +28,6 @@ from .core import (
     AgeAxis,
     AgePyramid,
     FertilityConfig,
-    RegionId,
-    RegionLevel,
     Sex,
     SurvivalSchedule,
 )

@@ -8,12 +8,13 @@ FILE`` supplies key=value defaults that flags override, and
 UIDFORGE_SEED is ``estimate``'s seed fallback. Each command resolves its
 options into a dict of values by option name before touching any file.
 Diagnostics go to stderr, data only to files; the exit code is 0 iff no
-error occurred.
+error occurred, and a failed command leaves no ``--out`` directory it made.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -220,16 +221,10 @@ def _ensure_out_dir(v: dict) -> Path:
 
 def _cmd_project(v: dict) -> int:
     pyramids, schedules, fert = _load_projection_inputs(v)
-    regions = [(code, _schedule_for(code, schedules)) for code in sorted(pyramids)]
+    regions = [(pyramids[code], _schedule_for(code, schedules)) for code in sorted(pyramids)]
     out = _ensure_out_dir(v)
-    horizon = v["horizon"]
-    emit_projection_csv(
-        (
-            (code, project_population(pyramids[code].densified(), schedule, fert, horizon))
-            for code, schedule in regions
-        ),
-        out / "projection.csv",
-    )
+    series = (project_population(p.densified(), s, fert, v["horizon"]) for p, s in regions)
+    emit_projection_csv(series, out / "projection.csv")
     return 0
 
 
@@ -294,18 +289,26 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    new_dirs = []
     try:
         values = _run_config(args)
+        out = values["out"]  # it and its parents that do not exist yet, deepest first
+        new_dirs = [path for path in (out, *out.parents) if not os.path.lexists(path)]
         # an overflow is reported once, by the writer or check that rejects its result
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command][0](values)
-    except UidforgeError as exc:
-        print(f"uidforge {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        reason = f": {exc}" if str(exc) else ""
-        print(f"uidforge {args.command}: error: out of memory{reason}", file=sys.stderr)
-        return 1
+    except BaseException as exc:
+        for path in new_dirs:  # a directory that holds a file stays
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        if isinstance(exc, UidforgeError):
+            message = str(exc)
+        elif isinstance(exc, MemoryError):
+            message = f"out of memory: {exc}" if str(exc) else "out of memory"
+        else:
+            raise
+    print(f"uidforge {args.command}: error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

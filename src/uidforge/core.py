@@ -1,5 +1,7 @@
-"""Core demographic types: age axis, regions, population pyramids,
-survival schedules and fertility configuration.
+"""Core demographic types: age axis, population pyramids, survival
+schedules and fertility configuration. A region is its CSV code, a
+``str``: a pyramid holds its region's code, and a survival schedule
+holds none, as one schedule may serve every region of a run.
 
 All types are immutable after construction and safe to share between
 threads; every operation in this package is a pure function of them.
@@ -55,12 +57,6 @@ class Sex(Enum):
 SEX_ROWS = (Sex.FEMALE, Sex.MALE)
 
 
-class RegionLevel(Enum):
-    COUNTRY = "country"
-    STATE = "state"
-    REGION = "region"
-
-
 @dataclass(frozen=True)
 class AgeAxis:
     """Single-year age axis 0..max_age inclusive.
@@ -87,18 +83,6 @@ class AgeAxis:
 
     def contains(self, age: int) -> bool:
         return 0 <= age <= self.max_age
-
-
-@dataclass(frozen=True)
-class RegionId:
-    """Identifier for a node in the region hierarchy."""
-
-    code: str
-    level: RegionLevel = RegionLevel.REGION
-
-    def __post_init__(self):
-        if not self.code:
-            raise DomainError("region code must be non-empty")
 
 
 def require_finite_nonnegative(name: str, value) -> None:
@@ -178,8 +162,8 @@ def _check_cells(cells: Cells, axis: AgeAxis):
 
 @dataclass(frozen=True, eq=True)
 class AgePyramid:
-    """Population counts by (sex, single-year age) for one region at one
-    point in time.
+    """Population counts by (sex, single-year age) for one region, named
+    by its code, at one point in time.
 
     Counts are expected-value reals, not integers; rounding happens only
     at report time. ``counts`` is the :class:`Cells` behind the read-only
@@ -192,7 +176,7 @@ class AgePyramid:
     reject bad input. Missing cells read as 0.0 through :meth:`count`.
     """
 
-    region: RegionId
+    region: str
     time_label: int
     axis: AgeAxis = field(default_factory=AgeAxis)
     counts: Cells | Mapping = field(default_factory=dict)
@@ -237,7 +221,7 @@ class AgePyramid:
 
     @classmethod
     def from_array(
-        cls, region: RegionId, time_label: int, axis: AgeAxis, array: np.ndarray
+        cls, region: str, time_label: int, axis: AgeAxis, array: np.ndarray
     ) -> "AgePyramid":
         """Dense pyramid over a copy of the ``(2, n_ages)`` ``array``."""
         if array.shape != (2, axis.n_ages):
@@ -248,7 +232,7 @@ class AgePyramid:
 
     @classmethod
     def _dense(
-        cls, region: RegionId, time_label: int, axis: AgeAxis, array: np.ndarray
+        cls, region: str, time_label: int, axis: AgeAxis, array: np.ndarray
     ) -> "AgePyramid":
         """Dense pyramid over the float64 ``(2, n_ages)`` ``array`` itself,
         which the caller gives up; the fields are set directly, with no
@@ -262,7 +246,7 @@ class AgePyramid:
 
 @dataclass(frozen=True)
 class SurvivalSchedule:
-    """One-year survival probabilities by (sex, age) for a region.
+    """One-year survival probabilities by (sex, age).
 
     ``array[sex.row, x]`` is the chance that a person of age x lives to
     age x+1; ``one_year`` is the :class:`Cells` behind that read-only
@@ -277,7 +261,6 @@ class SurvivalSchedule:
     :mod:`uidforge.projection`.
     """
 
-    region: RegionId
     axis: AgeAxis
     one_year: Cells | Mapping
 
@@ -309,15 +292,13 @@ class SurvivalSchedule:
         return self.one_year.array
 
     @classmethod
-    def flat(
-        cls, region: RegionId, axis: AgeAxis, male: float, female: float | None = None
-    ) -> "SurvivalSchedule":
+    def flat(cls, axis: AgeAxis, male: float, female: float | None = None) -> "SurvivalSchedule":
         """Constant survival at every age (the last age of life stays 0)."""
         p = np.empty((2, axis.n_ages))
         p[Sex.MALE.row] = float(male)
         p[Sex.FEMALE.row] = float(male if female is None else female)
         p[:, -1] = 0.0
-        return cls(region, axis, Cells(p))
+        return cls(axis, Cells(p))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ are the exception, rounded half-to-even to whole cards at emit time.
 Every input file is opened by one context manager, :func:`_table`, which
 checks the header and turns any read error inside it into a ParseError
 at line 0; data rows come from :func:`_rows`, or, in the column reader,
-straight from the csv reader. Numbers must be ASCII without ``_``.
+straight from the csv reader. Numbers must be ASCII without ``_``. A
+region is its code, a ``str``; readers and writers take the same codes.
 Population and survival files are read in blocks of rows straight into
 one ``(regions, 2, n_ages)`` array and presence mask per file; each
 region's pyramid or schedule is a view of it, and the population writer
@@ -29,9 +30,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .bayes import ChainSummary, DemandObservation, PosteriorChain
-from .core import (
-    SEX_ROWS, AgeAxis, AgePyramid, Cells, RegionId, RegionLevel, Sex, SurvivalSchedule
-)
+from .core import SEX_ROWS, AgeAxis, AgePyramid, Cells, Sex, SurvivalSchedule
 from .errors import DataError, DomainError, InsufficientDataError, ParseError, UidforgeError
 from .ledger import (
     DemandSeries,
@@ -78,6 +77,20 @@ def _table(path, *headers: list[str]):
             yield header, reader
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}") from exc
+
+
+def _writable(code: str) -> bool:
+    """Whether ``code`` is a region code that the writers can write back
+    and the readers take: a non-empty str, with no comma, quote or line break."""
+    return isinstance(code, str) and code != "" and _UNWRITABLE.isdisjoint(code)
+
+
+def _writable_code(code: str) -> str:
+    """``code``, unless the writers cannot write it back: then DomainError."""
+    if not _writable(code):
+        why = "it must be a non-empty str without a comma, quote or line break"
+        raise DomainError(f"region code {code!r} cannot be written: {why}")
+    return code
 
 
 def _rows(path, header: list[str], reader):
@@ -162,7 +175,7 @@ def _column_keys(path, header: list[str], axis: AgeAxis):
         while block := list(itertools.islice(reader, _BLOCK)):
             regions, sexes, ages, texts = zip(*block, strict=True)
             for code in dict.fromkeys(regions):
-                if not code or code != code.strip() or not _UNWRITABLE.isdisjoint(code):
+                if code != code.strip() or not _writable(code):
                     raise ValueError(f"region code {code!r}")
                 slots.setdefault(code, len(slots))
             slot = np.fromiter(map(slots.__getitem__, regions), np.intp, len(block))
@@ -193,12 +206,9 @@ def _row_keys(path, header: list[str], axis: AgeAxis):
     cells: dict[int, float] = {}
     with _table(path, header) as (_, reader):
         for line_no, (region, sex_txt, age_txt, value_txt) in _rows(path, header, reader):
-            if not region:
-                raise ParseError(path, line_no, "region code is empty")
-            if not _UNWRITABLE.isdisjoint(region):
-                raise ParseError(
-                    path, line_no, f"region code {region!r} holds a comma, quote or line break"
-                )
+            if not _writable(region):
+                message = f"region code {region!r} holds a comma, quote or line break"
+                raise ParseError(path, line_no, message if region else "region code is empty")
             sex = _parse_sex(path, line_no, sex_txt)
             age = _parse_int(path, line_no, "age", age_txt)
             if not axis.contains(age):
@@ -223,7 +233,7 @@ def load_population_csv(
     """
     axis = axis or AgeAxis()
     return {
-        code: AgePyramid(RegionId(code), time_label, axis, cells)
+        code: AgePyramid(code, time_label, axis, cells)
         for code, cells in _region_cells(path, POPULATION_HEADER, axis).items()
     }
 
@@ -235,13 +245,13 @@ def load_survival_csv(path, axis: AgeAxis | None = None) -> dict:
     out = {}
     for code, cells in _region_cells(path, SURVIVAL_HEADER, axis).items():
         try:
-            out[code] = SurvivalSchedule(RegionId(code), axis, cells)
+            out[code] = SurvivalSchedule(axis, cells)
         except DomainError as exc:
             raise DataError(path, 0, f"region {code}: {exc}") from exc
     return out
 
 
-def _rate_row(state: RegionId, *rates: float) -> StateFlows:
+def _rate_row(state: str, *rates: float) -> StateFlows:
     return counts_from_rates(StateRates(state, *rates))
 
 
@@ -249,7 +259,8 @@ def load_flows_csv(path) -> list[StateFlows]:
     """Load per-state flows as event counts; the header decides whether
     the file is rate-based or count-based. A rate row becomes the counts
     it implies (:func:`counts_from_rates`). Count-based loads must
-    satisfy interstate closure (total in == total out)."""
+    satisfy interstate closure (total in == total out). A state is its
+    code, which must not be empty."""
     out = []
     seen = set()
     with _table(path, FLOWS_RATE_HEADER, FLOWS_COUNT_HEADER) as (header, reader):
@@ -259,8 +270,10 @@ def load_flows_csv(path) -> list[StateFlows]:
                 raise DataError(path, line_no, f"duplicate state {state!r}")
             seen.add(state)
             values = [_parse_float(path, line_no, name, t) for name, t in zip(header[1:], fields)]
+            if not state:
+                raise DataError(path, line_no, "region code must be non-empty")
             try:
-                out.append(record(RegionId(state, RegionLevel.STATE), *values))
+                out.append(record(state, *values))
             except DomainError as exc:
                 raise DataError(path, line_no, str(exc)) from exc
     if record is StateFlows:
@@ -326,9 +339,10 @@ def write_file(path, chunks: Iterable[str]):
 def emit_population_csv(pyramids: Mapping, path):
     """Write pyramids back to the ``region,sex,age,count`` schema with
     round-trip-exact counts, one row per present cell, sorted by (region,
-    sex, age). A region with a non-finite count is a DomainError."""
+    sex, age). A region code that the reader would reject, or a region
+    with a non-finite count, is a DomainError and leaves no file."""
     lines = [",".join(POPULATION_HEADER) + "\n"]
-    for code in sorted(pyramids):
+    for code in map(_writable_code, sorted(pyramids)):
         pyramid = pyramids[code]
         if not np.isfinite(pyramid.array).all():
             raise DomainError(f"region {code}: a count is not finite")
@@ -339,15 +353,17 @@ def emit_population_csv(pyramids: Mapping, path):
     write_file(path, lines)
 
 
-def emit_projection_csv(series: Iterable[tuple[str, ProjectionSeries]], path):
-    """Write ``year,region,sex,age,count`` rows, one region at a time, in
-    the order given and within a region by (year, sex F then M, age).
+def emit_projection_csv(series: Iterable[ProjectionSeries], path):
+    """Write each series' ``year,region,sex,age,count`` rows, one region
+    at a time, in the order given and within a region by (year, sex F
+    then M, age).
 
     ``series`` may be a generator, so only a few regions' frames need to
-    exist at once. A region whose projection is not finite is a
-    DomainError naming its first such year, and leaves no file. The rows
-    are formatted by forked workers (:func:`_region_texts`); the bytes
-    do not depend on how many.
+    exist at once. A region code that the reader would reject is a
+    DomainError, as is a region whose projection is not finite, naming
+    its first such year; neither leaves a file. The rows are formatted
+    by forked workers (:func:`_region_texts`); the bytes do not depend
+    on how many.
     """
     texts = _region_texts(_checked_frames(series))
     try:
@@ -357,9 +373,11 @@ def emit_projection_csv(series: Iterable[tuple[str, ProjectionSeries]], path):
 
 
 def _checked_frames(series):
-    """``(code, start year, axis, frames)`` of each region, the frames
-    flattened to one row per year and checked to be finite."""
-    for code, projection in series:
+    """``(code, start year, axis, frames)`` of each region, the code
+    checked to be writable and the frames flattened to one row per year
+    and checked to be finite."""
+    for projection in series:
+        code = _writable_code(projection.region)
         frames = projection.counts.reshape(len(projection.counts), -1)
         bad = ~np.isfinite(frames).all(axis=1)
         if bad.any():

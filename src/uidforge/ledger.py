@@ -32,7 +32,6 @@ import numpy as np
 from .core import (
     AgePyramid,
     FertilityConfig,
-    RegionId,
     Sex,
     SurvivalSchedule,
     require_finite_nonnegative,
@@ -66,10 +65,10 @@ class IssuancePolicy(Enum):
 
 @dataclass(frozen=True)
 class StateFlows:
-    """Annual event counts for one state: the micro model's input and
-    the ledger's. Counts may be expected values (reals)."""
+    """Annual event counts for the state coded ``state``: the micro
+    model's input and the ledger's. Counts may be expected values (reals)."""
 
-    state: RegionId
+    state: str
     births: float
     deaths: float
     interstate_in: float
@@ -83,11 +82,11 @@ class StateFlows:
 
 @dataclass(frozen=True)
 class StateRates:
-    """Annual per-person rates for one state against its population
-    base: the macro model's input. :func:`counts_from_rates` turns one
-    into the :class:`StateFlows` it implies."""
+    """Annual per-person rates for the state coded ``state`` against its
+    population base: the macro model's input. :func:`counts_from_rates`
+    turns one into the :class:`StateFlows` it implies."""
 
-    state: RegionId
+    state: str
     population: float
     birth_rate: float
     death_rate: float

@@ -57,7 +57,6 @@ from .core import (
     AgeAxis,
     AgePyramid,
     FertilityConfig,
-    RegionId,
     Sex,
     SurvivalSchedule,
     _all_present,
@@ -71,11 +70,11 @@ _FEMALE = Sex.FEMALE.row
 
 @dataclass(frozen=True, eq=False)
 class ProjectionSeries:
-    """Annual projection frames of one region; frame 0 holds the input
-    pyramid's cells (missing cells as 0). ``counts[k]`` is frame k as a
-    ``(2, n_ages)`` array."""
+    """Annual projection frames of the region whose code is ``region``;
+    frame 0 holds the input pyramid's cells (missing cells as 0).
+    ``counts[k]`` is frame k as a ``(2, n_ages)`` array."""
 
-    region: RegionId
+    region: str
     start: int
     axis: AgeAxis
     counts: np.ndarray

@@ -2,7 +2,7 @@ import multiprocessing
 
 import pytest
 
-from uidforge import AgeAxis, AgePyramid, RegionId, RegionLevel, Sex, SurvivalSchedule
+from uidforge import AgeAxis, AgePyramid, Sex, SurvivalSchedule
 
 
 def dense_pyramid(region, year, axis, female=None, male=None):
@@ -22,12 +22,12 @@ def axis():
 
 @pytest.fixture
 def region():
-    return RegionId("IN", RegionLevel.COUNTRY)
+    return "IN"
 
 
 @pytest.fixture
-def unit_survival(region, axis):
-    return SurvivalSchedule.flat(region, axis, 1.0)
+def unit_survival(axis):
+    return SurvivalSchedule.flat(axis, 1.0)
 
 
 @pytest.fixture(autouse=True)

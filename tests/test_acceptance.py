@@ -14,8 +14,6 @@ from uidforge import (
     FertilityConfig,
     IssuancePolicy,
     PriorSpec,
-    RegionId,
-    RegionLevel,
     Sex,
     StateFlows,
     StateRates,
@@ -42,7 +40,7 @@ from oracles import bernoulli_cohort_survivors
 
 GOLDEN = Path(__file__).parent / "data" / "golden_demand_3yr.csv"
 
-INDIA = RegionId("IN", RegionLevel.COUNTRY)
+INDIA = "IN"
 
 # Census 2011 provisional aggregates: 1210M total, males:females 623:586
 TOTAL_2011 = 1210e6
@@ -66,7 +64,7 @@ def stable_growth_inputs():
     male = {x: TOTAL_2011 * male_share * shape[x] for x in range(axis.n_ages)}
     pyramid = dense_pyramid(INDIA, 2011, axis, female=female, male=male)
 
-    survival = SurvivalSchedule.flat(INDIA, axis, 1.0)
+    survival = SurvivalSchedule.flat(axis, 1.0)
     top_age_loss = shape[100]
     births_needed = (g - 1.0) + top_age_loss
     rate = births_needed / (female_share * shape[15:50].sum())
@@ -92,7 +90,7 @@ def test_criterion_02_infant_survival_policy_ratio():
     # power-of-two counts keep the 0.94 scaling exact in floating point
     axis = AgeAxis(100)
     pop = dense_pyramid(INDIA, 2011, axis, female={20: 1024.0})
-    survival = SurvivalSchedule.flat(INDIA, axis, 1.0)
+    survival = SurvivalSchedule.flat(axis, 1.0)
     fert = FertilityConfig(
         {20: 0.5}, eligible_proportion=1.0, sex_ratio_at_birth=1.0, infant_mortality=60.0
     )
@@ -117,7 +115,7 @@ def test_criterion_03_conservation_over_fifty_years():
         female={a: 1e5 + 7 * a for a in range(0, 46)},
         male={a: 1.1e5 + 5 * a for a in range(0, 46)},
     )
-    survival = SurvivalSchedule.flat(INDIA, axis, 1.0)
+    survival = SurvivalSchedule.flat(axis, 1.0)
     fert = FertilityConfig({}, 1.0, 1.05)
     series = project_population(pyramid, survival, fert, 50)
     base = pyramid.total()
@@ -128,7 +126,7 @@ def test_criterion_03_conservation_over_fifty_years():
 def test_criterion_04_microsimulation_oracle():
     axis = AgeAxis(100)
     pop = dense_pyramid(INDIA, 0, axis, female={30: 10_000.0})
-    survival = SurvivalSchedule.flat(INDIA, axis, 0.95)
+    survival = SurvivalSchedule.flat(axis, 0.95)
     expected = survive_cohorts(pop, survival, 10).count(Sex.FEMALE, 40)
     assert expected == pytest.approx(10_000.0 * 0.95**10, rel=1e-12)
 
@@ -147,12 +145,7 @@ def test_criterion_05_macro_micro_agreement():
         rates = []
         for i in range(n_states):
             b, d, m, e = (float(x) for x in rng.uniform(0.0, 0.05, size=4))
-            rates.append(
-                StateRates(
-                    RegionId(f"S{i}", RegionLevel.STATE),
-                    float(rng.uniform(1e4, 1e7)), b, d, m, e,
-                )
-            )
+            rates.append(StateRates(f"S{i}", float(rng.uniform(1e4, 1e7)), b, d, m, e))
         total_in = sum(f.in_rate * f.population for f in rates)
         total_out = sum(f.out_rate * f.population for f in rates)
         if total_out > 0:
@@ -212,13 +205,13 @@ def national_demand_inputs():
     female = {x: TOTAL_2011 * female_share * shape[x] for x in range(axis.n_ages)}
     male = {x: TOTAL_2011 * (1 - female_share) * shape[x] for x in range(axis.n_ages)}
     pyramid = dense_pyramid(INDIA, 2011, axis, female=female, male=male)
-    survival = SurvivalSchedule.flat(INDIA, axis, 0.988, 0.992)
+    survival = SurvivalSchedule.flat(axis, 0.988, 0.992)
     fert = FertilityConfig.flat(
         0.09, eligible_proportion=1.0, sex_ratio_at_birth=MALE_WEIGHT / FEMALE_WEIGHT
     )
     flows = [
         StateFlows(
-            RegionId("ALL", RegionLevel.STATE),
+            "ALL",
             births=0.0, deaths=0.0,
             interstate_in=2e5, interstate_out=2e5,
             immigration=1e5, emigration=5e4,
@@ -254,19 +247,15 @@ def test_criterion_08_demand_series_properties(tmp_path):
 def toy_demand_inputs():
     axis = AgeAxis(100)
     pop = dense_pyramid(
-        RegionId("TOY"),
+        "TOY",
         2011,
         axis,
         female={14: 200.0, 20: 1000.0, 30: 500.0, 40: 300.0},
         male={14: 100.0, 20: 800.0, 50: 400.0},
     )
-    survival = SurvivalSchedule.flat(RegionId("TOY"), axis, 0.96, 0.98)
+    survival = SurvivalSchedule.flat(axis, 0.96, 0.98)
     fert = FertilityConfig.flat(0.1, eligible_proportion=0.8, sex_ratio_at_birth=1.05)
-    flows = [
-        StateFlows(
-            RegionId("ST", RegionLevel.STATE), 0.0, 0.0, 10.0, 10.0, 5.0, 3.0
-        )
-    ]
+    flows = [StateFlows("ST", 0.0, 0.0, 10.0, 10.0, 5.0, 3.0)]
     return pop, survival, fert, flows
 
 

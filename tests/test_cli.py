@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uidforge import RegionId, RegionLevel, StateRates, counts_from_rates
+from uidforge import StateRates, counts_from_rates
 from uidforge import cli
 from uidforge.cli import _OPTIONS, _as_path, _build_parser, _run_config, main
 
@@ -392,14 +392,14 @@ class TestDemandCommand:
     ):
         # in/out rates balance: 0.03 * 1000 + 0.02 * 500 == 0.02 * 1000 + 0.04 * 500
         rates = [
-            StateRates(RegionId("A", RegionLevel.STATE), 1000.0, 0.02, 0.008, 0.03, 0.02),
-            StateRates(RegionId("B", RegionLevel.STATE), 500.0, 0.018, 0.009, 0.02, 0.04),
+            StateRates("A", 1000.0, 0.02, 0.008, 0.03, 0.02),
+            StateRates("B", 500.0, 0.018, 0.009, 0.02, 0.04),
         ]
         rate_lines = ["state,population,b,d,m,e"] + [
-            ",".join([r.state.code] + [repr(v) for v in astuple(r)[1:]]) for r in rates
+            ",".join([r.state] + [repr(v) for v in astuple(r)[1:]]) for r in rates
         ]
         count_lines = ["state,births,deaths,in,out,immig,emig"] + [
-            ",".join([r.state.code] + [repr(v) for v in astuple(counts_from_rates(r))[1:]])
+            ",".join([r.state] + [repr(v) for v in astuple(counts_from_rates(r))[1:]])
             for r in rates
         ]
         written = {}
@@ -782,6 +782,22 @@ def header_only_unknown_age(tmp_path):
     return str(path)
 
 
+def huge_sparse_population(tmp_path):
+    path = tmp_path / "huge_sparse.csv"
+    path.write_text("region,sex,age,count\nA,F,20,1e308\nA,M,20,1\n", encoding="utf-8")
+    return str(path)
+
+
+def survival_to_age_30(tmp_path):
+    return str(write_survival(tmp_path / "surv30.csv", region="A", max_age=30))
+
+
+def one_observation(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("year,count,exposure\n2011,5,10\n", encoding="utf-8")
+    return str(path)
+
+
 #: name -> (command, {option: its bad value, or a function of tmp_path
 #: that writes it}, the message; ``{name}`` in it is the value of that option)
 BAD_RUNS = {
@@ -829,6 +845,33 @@ BAD_RUNS = {
         {"samples": "2000000000000000000"},
         "n_samples 2000000000000000000 is too many for one array",
     ),
+    # the last three fail after the command has made its output directory
+    "projection-lacks-reproductive-ages": (
+        "project",
+        {
+            "population": huge_sparse_population,
+            "survival": survival_to_age_30,
+            "max_age": "30",
+            "horizon": "2000",
+        },
+        f"pyramid lacks female counts at reproductive ages {list(range(31, 50))}",
+    ),
+    "adjusted-count-not-finite": (
+        "coverage",
+        {
+            "population": huge_sparse_population,
+            "unknown_age": header_only_unknown_age,
+            "omission": "999.9",
+            "max_age": "30",
+        },
+        "region A: a count is not finite",
+    ),
+    "posterior-not-finite": (
+        "estimate",
+        {"observations": one_observation, "prior_rate": "1e-300"},
+        "posterior summary is not finite: (2.163050585497206e+284, inf, "
+        "1.3311454516580988e+170, 1.0536299382516667e+283, 0.486)",
+    ),
 }
 
 
@@ -842,6 +885,22 @@ def test_bad_input_fails_in_one_line_before_any_output(
     err = assert_one_line_error(capsys, command)
     assert err == f"uidforge {command}: error: {message.format(**values)}\n"
     assert not Path(values["out"]).exists()
+
+
+@pytest.mark.parametrize(
+    "made", [(), ("new",), ("new", "deeper")], ids=["out-existed", "out-made", "parent-made"]
+)
+def test_failed_command_removes_only_the_directories_it_made(
+    flag_values, tmp_path, capsys, made
+):
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    command, bad, _ = BAD_RUNS["projection-lacks-reproductive-ages"]
+    bad = {option: value(tmp_path) if callable(value) else value for option, value in bad.items()}
+    values = {**flag_values[command], **bad, "out": str(existing.joinpath(*made))}
+    assert main(as_argv(command, values)) == 1
+    assert_one_line_error(capsys, command)
+    assert existing.is_dir() and list(existing.iterdir()) == []
 
 
 #: (command, option) for every option that takes a number

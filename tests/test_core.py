@@ -9,8 +9,6 @@ from uidforge import (
     DemandSeries,
     DomainError,
     FertilityConfig,
-    RegionId,
-    RegionLevel,
     Sex,
     StateFlows,
     StateRates,
@@ -45,15 +43,6 @@ class TestAgeAxis:
             AgeAxis(151)
 
 
-class TestRegionId:
-    def test_levels(self):
-        assert RegionId("WB", RegionLevel.STATE).level is RegionLevel.STATE
-
-    def test_empty_code_rejected(self):
-        with pytest.raises(DomainError):
-            RegionId("")
-
-
 class TestSex:
     def test_rows_follow_sex_rows(self):
         assert SEX_ROWS == (Sex.FEMALE, Sex.MALE)
@@ -61,37 +50,37 @@ class TestSex:
 
 
 class TestSurvivalSchedule:
-    def test_flat_forces_zero_at_last_age(self, region):
+    def test_flat_forces_zero_at_last_age(self):
         axis = AgeAxis(10)
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        sched = SurvivalSchedule.flat(axis, 0.9)
         assert sched.array[Sex.MALE.row, 0] == 0.9
         assert sched.array[Sex.FEMALE.row, 10] == 0.0
 
-    def test_flat_puts_each_sex_in_its_row(self, region):
-        sched = SurvivalSchedule.flat(region, AgeAxis(3), 0.9, 0.95)
+    def test_flat_puts_each_sex_in_its_row(self):
+        sched = SurvivalSchedule.flat(AgeAxis(3), 0.9, 0.95)
         assert sched.array[Sex.MALE.row].tolist() == [0.9, 0.9, 0.9, 0.0]
         assert sched.array[Sex.FEMALE.row].tolist() == [0.95, 0.95, 0.95, 0.0]
 
-    def test_missing_age_rejected(self, region):
+    def test_missing_age_rejected(self):
         axis = AgeAxis(2)
         cells = {(sex, a): 0.5 for sex in Sex for a in (0, 2)}
         for sex in Sex:
             cells[(sex, 2)] = 0.0
         with pytest.raises(DomainError, match="missing"):
-            SurvivalSchedule(region, axis, cells)
+            SurvivalSchedule(axis, cells)
 
-    def test_probability_bounds_checked(self, region):
+    def test_probability_bounds_checked(self):
         axis = AgeAxis(1)
         cells = {(s, a): 0.0 for s in Sex for a in (0, 1)}
         cells[(Sex.MALE, 0)] = 1.5
         with pytest.raises(DomainError, match="not a probability"):
-            SurvivalSchedule(region, axis, cells)
+            SurvivalSchedule(axis, cells)
 
-    def test_nonzero_at_omega_rejected(self, region):
+    def test_nonzero_at_omega_rejected(self):
         axis = AgeAxis(1)
         cells = {(s, a): 1.0 for s in Sex for a in (0, 1)}
         with pytest.raises(DomainError, match="last age"):
-            SurvivalSchedule(region, axis, cells)
+            SurvivalSchedule(axis, cells)
 
 
 class TestFertilityConfig:
@@ -145,37 +134,37 @@ class TestMultiYearSurvival:
     """The cell-by-cell reference that the projection tests compare
     :func:`survive_cohorts` against."""
 
-    def test_span_zero_is_empty_product(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.7)
+    def test_span_zero_is_empty_product(self, axis):
+        sched = SurvivalSchedule.flat(axis, 0.7)
         assert multi_year_survival(sched, Sex.MALE, 30, 0) == 1.0
 
-    def test_identity_survival(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 1.0)
+    def test_identity_survival(self, axis):
+        sched = SurvivalSchedule.flat(axis, 1.0)
         for age in (0, 17, 80):
             assert multi_year_survival(sched, Sex.FEMALE, age, 10) == 1.0
 
-    def test_three_year_product(self, region, axis):
+    def test_three_year_product(self, axis):
         # direct product: 0.9 * 0.9 * 0.9
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        sched = SurvivalSchedule.flat(axis, 0.9)
         got = multi_year_survival(sched, Sex.MALE, 20, 3)
         assert got == pytest.approx(0.729, rel=1e-12)
 
-    def test_age_out_of_axis(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+    def test_age_out_of_axis(self, axis):
+        sched = SurvivalSchedule.flat(axis, 0.9)
         with pytest.raises(DomainError):
             multi_year_survival(sched, Sex.MALE, 101, 1)
         with pytest.raises(DomainError):
             multi_year_survival(sched, Sex.MALE, -1, 1)
 
-    def test_span_past_last_age(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+    def test_span_past_last_age(self, axis):
+        sched = SurvivalSchedule.flat(axis, 0.9)
         with pytest.raises(DomainError):
             multi_year_survival(sched, Sex.MALE, 95, 7)
         # to exactly omega+1 is allowed and passes through s(omega) = 0
         assert multi_year_survival(sched, Sex.MALE, 95, 6) == 0.0
 
-    def test_negative_span(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+    def test_negative_span(self, axis):
+        sched = SurvivalSchedule.flat(axis, 0.9)
         with pytest.raises(DomainError):
             multi_year_survival(sched, Sex.MALE, 20, -1)
 
@@ -239,7 +228,7 @@ class TestPyramidBasics:
         with pytest.raises(DomainError) as pyramid_error:
             AgePyramid(region, 2011, axis, cells)
         with pytest.raises(DomainError) as schedule_error:
-            SurvivalSchedule(region, axis, cells)
+            SurvivalSchedule(axis, cells)
         assert str(pyramid_error.value) == str(schedule_error.value)
         assert str(schedule_error.value) == "cell (M, 9) lies beyond the axis 0..5"
 
@@ -258,7 +247,7 @@ class TestPyramidBasics:
         "build",
         [
             lambda region, axis, cells: AgePyramid(region, 2011, axis, cells),
-            lambda region, axis, cells: SurvivalSchedule(region, axis, cells),
+            lambda region, axis, cells: SurvivalSchedule(axis, cells),
         ],
         ids=["pyramid", "schedule"],
     )
@@ -336,13 +325,13 @@ class TestPyramidBasics:
         assert not frozen.flags.writeable
 
 
-_STATE = RegionId("A", RegionLevel.STATE)
+_STATE = "A"
 _COUNTS = dict(
     births=1.0, deaths=1.0, interstate_in=1.0, interstate_out=1.0, immigration=1.0, emigration=1.0
 )
 _RATES = dict(population=1e6, birth_rate=0.02, death_rate=0.01, in_rate=0.0, out_rate=0.0)
 _SERIES = dict(new_male=[1.0], new_female=[1.0], returned=[0.0])
-_PYRAMID = dense_pyramid(RegionId("A"), 2011, AgeAxis(3), female={1: 1.0}, male={1: 1.0})
+_PYRAMID = dense_pyramid("A", 2011, AgeAxis(3), female={1: 1.0}, male={1: 1.0})
 
 # (record.field or function.argument, build(value)) for every number the
 # shared validator guards

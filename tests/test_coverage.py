@@ -11,7 +11,6 @@ from uidforge import (
     AgePyramid,
     AllocationError,
     DomainError,
-    RegionId,
     Sex,
     UndefinedEstimateError,
     allocate_unknown_age,
@@ -166,11 +165,9 @@ class TestAllocateUnknownAge:
 
 class TestRegionPartitionCommutation:
     def test_operations_commute_with_partitioning(self, axis):
-        east = dense_pyramid(RegionId("E"), 2011, axis, female={20: 400.0, 30: 100.0})
-        west = dense_pyramid(RegionId("W"), 2011, axis, female={20: 250.0, 40: 350.0})
-        merged = dense_pyramid(
-            RegionId("EW"), 2011, axis, female={20: 650.0, 30: 100.0, 40: 350.0}
-        )
+        east = dense_pyramid("E", 2011, axis, female={20: 400.0, 30: 100.0})
+        west = dense_pyramid("W", 2011, axis, female={20: 250.0, 40: 350.0})
+        merged = dense_pyramid("EW", 2011, axis, female={20: 650.0, 30: 100.0, 40: 350.0})
 
         def process(pyramid, unknown):
             return allocate_unknown_age(

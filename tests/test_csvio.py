@@ -20,9 +20,7 @@ from uidforge import (
     DomainError,
     InsufficientDataError,
     ParseError,
-    RegionId,
     ProjectionSeries,
-    RegionLevel,
     Sex,
     StateFlows,
 )
@@ -280,9 +278,7 @@ class TestLoadFlows:
             "B,250000,0.018,0.009,0.0,0.0003\n",
         )
         flows = load_flows_csv(path)
-        assert [f.state for f in flows] == [
-            RegionId("A", RegionLevel.STATE), RegionId("B", RegionLevel.STATE)
-        ]
+        assert [f.state for f in flows] == ["A", "B"]
         for loaded, (pop, b, d, m, e) in zip(
             flows, [(1e6, 0.021, 0.0079, 0.001, 0.0012), (250000.0, 0.018, 0.009, 0.0, 0.0003)]
         ):
@@ -300,8 +296,8 @@ class TestLoadFlows:
             "state,births,deaths,in,out,immig,emig\nA,10,5,3,7,1,0\nB,20.5,2,7,3,0,2\n",
         )
         assert load_flows_csv(path) == [
-            StateFlows(RegionId("A", RegionLevel.STATE), 10.0, 5.0, 3.0, 7.0, 1.0, 0.0),
-            StateFlows(RegionId("B", RegionLevel.STATE), 20.5, 2.0, 7.0, 3.0, 0.0, 2.0),
+            StateFlows("A", 10.0, 5.0, 3.0, 7.0, 1.0, 0.0),
+            StateFlows("B", 20.5, 2.0, 7.0, 3.0, 0.0, 2.0),
         ]
 
     def test_rate_row_whose_counts_overflow_is_data_error(self, tmp_path):
@@ -314,6 +310,15 @@ class TestLoadFlows:
         path = write(tmp_path, "flows.csv", "state,x,y\nA,1,2\n")
         with pytest.raises(ParseError, match="neither"):
             load_flows_csv(path)
+
+    @pytest.mark.parametrize("schema", ["flows-rates", "flows-counts"])
+    def test_empty_state_rejected_at_its_line(self, tmp_path, schema):
+        _, header, rows = READER_CASES[schema]
+        empty = "," + rows[0].split(",", 1)[1]
+        path = write(tmp_path, "flows.csv", "\n".join([header, *rows, empty]) + "\n")
+        with pytest.raises(DataError) as err:
+            load_flows_csv(path)
+        assert str(err.value) == f"{path}:{len(rows) + 2}: region code must be non-empty"
 
 
 def demand_series(rows):
@@ -538,7 +543,7 @@ def projections(n_regions, horizon, axis=AgeAxis(100)):
     rng = np.random.default_rng(7)
     for r in range(n_regions):
         counts = rng.random((horizon + 1, 2, axis.n_ages)) * 1e5
-        yield f"R{r}", ProjectionSeries(RegionId(f"R{r}"), 2011, axis, counts)
+        yield ProjectionSeries(f"R{r}", 2011, axis, counts)
 
 
 @contextlib.contextmanager
@@ -569,6 +574,32 @@ class TestWriteFile:
         with pytest.raises(error, match="after the first chunk"):
             write_file(path, chunks())
         assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "code", ["", "A,B", 'A"B', "A\nB", 5], ids=["empty", "comma", "quote", "newline", "not-a-str"]
+)
+class TestWritersRejectCodesTheReadersReject:
+    def assert_rejected(self, err, code, path):
+        assert str(err.value) == (
+            f"region code {code!r} cannot be written: it must be a non-empty str without "
+            "a comma, quote or line break"
+        )
+        assert not path.exists()
+
+    def test_population_writer(self, tmp_path, code):
+        pyramid = dense_pyramid("IN", 2011, AgeAxis(3), female={1: 1.0})
+        path = tmp_path / "out.csv"
+        with pytest.raises(DomainError) as err:
+            emit_population_csv({code: pyramid}, path)
+        self.assert_rejected(err, code, path)
+
+    def test_projection_writer(self, tmp_path, code):
+        (good,) = projections(1, 2)
+        path = tmp_path / "out.csv"
+        with pytest.raises(DomainError) as err:
+            emit_projection_csv([good, ProjectionSeries(code, 2011, good.axis, good.counts)], path)
+        self.assert_rejected(err, code, path)
 
 
 class TestProjectionWriter:
@@ -626,7 +657,7 @@ def sparse_pyramids(draw):
         keys = [(sex, age) for sex in Sex for age in axis.ages()]
         present = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
         cells = {key: draw(_COUNT) for key, keep in zip(keys, present) if keep}
-        pyramids[code] = AgePyramid(RegionId(code), 0, axis, cells)
+        pyramids[code] = AgePyramid(code, 0, axis, cells)
     return axis, pyramids
 
 

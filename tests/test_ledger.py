@@ -15,8 +15,6 @@ from uidforge import (
     DomainError,
     FertilityConfig,
     IssuancePolicy,
-    RegionId,
-    RegionLevel,
     Sex,
     StateFlows,
     StateRates,
@@ -41,26 +39,22 @@ from test_acceptance import national_demand_inputs
 DATA = Path(__file__).parent / "data"
 
 
-def state(code="ST"):
-    return RegionId(code, RegionLevel.STATE)
-
-
 def rate_flow(code, population, b, d, m, e):
-    return StateRates(state(code), population, b, d, m, e)
+    return StateRates(code, population, b, d, m, e)
 
 
 def count_flow(code, n, d, m, e, g, f):
-    return StateFlows(state(code), n, d, m, e, g, f)
+    return StateFlows(code, n, d, m, e, g, f)
 
 
 class TestStateFlows:
     def test_rate_record_rejects_count_fields(self):
         with pytest.raises(TypeError):
-            StateRates(state(), 1.0, 0.0, 0.0, 0.0, 0.0, births=5.0)
+            StateRates("ST", 1.0, 0.0, 0.0, 0.0, 0.0, births=5.0)
 
     def test_count_record_needs_all_counts(self):
         with pytest.raises(TypeError):
-            StateFlows(state(), births=1.0, deaths=1.0)
+            StateFlows("ST", births=1.0, deaths=1.0)
 
     def test_negative_values_rejected(self):
         with pytest.raises(DomainError):
@@ -156,7 +150,7 @@ class TestMacroMicroAgreement:
                 scale = total_in / total_out
                 rates = [
                     rate_flow(
-                        f.state.code, f.population, f.birth_rate, f.death_rate,
+                        f.state, f.population, f.birth_rate, f.death_rate,
                         f.in_rate, f.out_rate * scale,
                     )
                     for f in rates
@@ -270,7 +264,7 @@ def toy_inputs(region, horizon_age=100):
         female={14: 200.0, 20: 1000.0, 30: 500.0, 40: 300.0},
         male={14: 100.0, 20: 800.0, 50: 400.0},
     )
-    sched = SurvivalSchedule.flat(region, axis, 0.96, 0.98)
+    sched = SurvivalSchedule.flat(axis, 0.96, 0.98)
     fert = FertilityConfig.flat(0.1, eligible_proportion=0.8, sex_ratio_at_birth=1.05)
     flows = [count_flow("ST", 0, 0, 10, 10, 5, 3)]
     return pop, sched, fert, flows
@@ -279,7 +273,7 @@ def toy_inputs(region, horizon_age=100):
 class TestCardSimulation:
     def test_age15_only_when_no_births_or_migration(self, region, axis):
         pop = dense_pyramid(region, 2011, axis, female={14: 100.0}, male={14: 60.0})
-        sched = SurvivalSchedule.flat(region, axis, 1.0)
+        sched = SurvivalSchedule.flat(axis, 1.0)
         fert = FertilityConfig({}, 1.0, 1.0)
         series = annual_card_requirement_series(pop, sched, fert, [], 2)
         assert series.rows[0].new_cards_female == 100.0
@@ -392,7 +386,7 @@ class TestCardSimulation:
     )
     def test_deaths_and_emigrants_in_the_ledger(self, region, axis, policy, start, after):
         pop = dense_pyramid(region, 2011, axis, female={3: 70.0}, male={40: 100.0})
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        sched = SurvivalSchedule.flat(axis, 0.9)
         flows = [count_flow("ST", 0, 0, 0, 0, 0, 5)]
         _, ledgers = run_card_simulation(pop, sched, FertilityConfig({}, 1.0, 1.0), flows, 1, policy)
         first, last = ledgers
@@ -405,7 +399,7 @@ class TestCardSimulation:
     def test_counts_beyond_int64_are_domain_errors(self, region, axis, policy):
         # cards are int64: a count or a running total past 2**63 - 1 must
         # not wrap. 9e18 cards fit; 4.5e17 births a year push past.
-        sched = SurvivalSchedule.flat(region, axis, 1.0)
+        sched = SurvivalSchedule.flat(axis, 1.0)
         fert = FertilityConfig.flat(0.1, 1.0, 1.0)
         huge = dense_pyramid(region, 2011, axis, female={20: 1e19})
         with pytest.raises(DomainError, match="1e\\+19 is outside the int64 range"):
@@ -441,12 +435,9 @@ def ledger_inputs(draw):
     axis = AgeAxis(draw(st.integers(49, 70)))
     cells = 2 * axis.n_ages
     counts = draw(st.lists(st.floats(0.0, 1e6), min_size=cells, max_size=cells))
-    pop = AgePyramid.from_array(
-        RegionId("HY"), 2011, axis, np.array(counts).reshape(2, axis.n_ages)
-    )
+    pop = AgePyramid.from_array("HY", 2011, axis, np.array(counts).reshape(2, axis.n_ages))
     probs = iter(draw(st.lists(st.floats(0.0, 1.0), min_size=cells, max_size=cells)))
     survival = SurvivalSchedule(
-        RegionId("HY"),
         axis,
         {(sex, a): 0.0 if a == axis.max_age else next(probs) for sex in Sex for a in axis.ages()},
     )
@@ -552,7 +543,7 @@ class TestNationalDemand:
     def test_at_birth_links_follow_the_real_stock(self):
         # real under-15 stock 1.75; each year's 0.25 births round to no link
         axis = AgeAxis(100)
-        region = RegionId("IN", RegionLevel.COUNTRY)
+        region = "IN"
         pop = dense_pyramid(region, 2011, axis, female={3: 2.0, 31: 1.0})
         p = np.ones((2, axis.n_ages))
         p[:, 0] = 0.0
@@ -560,7 +551,7 @@ class TestNationalDemand:
         p[Sex.FEMALE.row, 5] = 0.0
         p[:, axis.max_age] = 0.0
         survival = SurvivalSchedule(
-            region, axis, {(sex, a): p[sex.row, a] for sex in Sex for a in axis.ages()}
+            axis, {(sex, a): p[sex.row, a] for sex in Sex for a in axis.ages()}
         )
         fert = FertilityConfig.flat(0.25, 1.0, 1.0)
         run_card_simulation(pop, survival, fert, [], 3, IssuancePolicy.AT_BIRTH)

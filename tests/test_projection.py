@@ -9,7 +9,6 @@ from uidforge import (
     DomainError,
     FertilityConfig,
     ProjectionSeries,
-    RegionId,
     Sex,
     SurvivalSchedule,
     deaths_by_age,
@@ -47,7 +46,7 @@ class TestProjectBirths:
     def test_single_cell_hand_value(self, region, axis):
         # 1000 * 0.99 * 0.2 * 0.5 = 99
         pop = dense_pyramid(region, 2011, axis, female={20: 1000.0})
-        sched = SurvivalSchedule.flat(region, axis, 0.99)
+        sched = SurvivalSchedule.flat(axis, 0.99)
         fert = FertilityConfig({20: 0.2}, eligible_proportion=0.5, sex_ratio_at_birth=1.0)
         births = project_births(pop, sched, fert)
         assert births.sum() == pytest.approx(99.0, rel=1e-12)
@@ -58,7 +57,7 @@ class TestProjectBirths:
     def test_matches_brute_force_on_spread_population(self, region, axis):
         female = {age: 100.0 + 3.0 * age for age in range(10, 60)}
         pop = dense_pyramid(region, 2011, axis, female=female)
-        sched = SurvivalSchedule.flat(region, axis, 0.97, 0.985)
+        sched = SurvivalSchedule.flat(axis, 0.97, 0.985)
         fert = FertilityConfig.flat(0.08, eligible_proportion=0.9, sex_ratio_at_birth=1.06)
         got = project_births(pop, sched, fert).sum()
         assert got == pytest.approx(brute_force_births(pop, sched, fert), rel=1e-12)
@@ -74,7 +73,7 @@ class TestProjectBirths:
         present = np.ones((2, axis.n_ages), dtype=bool)
         present[Sex.FEMALE.row, 20] = False
         pop = AgePyramid(region, 2011, axis, Cells(np.ones((2, axis.n_ages)), present))
-        sched = SurvivalSchedule.flat(region, axis, 1.0)
+        sched = SurvivalSchedule.flat(axis, 1.0)
         fert = FertilityConfig.flat(0.1, 1.0, 1.05)
         with pytest.raises(DomainError) as err:
             project_births(pop, sched, fert)
@@ -89,7 +88,7 @@ class TestProjectBirths:
     def test_dense_pyramid_on_a_short_axis_is_still_checked(self, region):
         axis = AgeAxis(30)
         pop = AgePyramid.from_array(region, 2011, axis, np.ones((2, axis.n_ages)))
-        sched = SurvivalSchedule.flat(region, axis, 1.0)
+        sched = SurvivalSchedule.flat(axis, 1.0)
         with pytest.raises(DomainError, match=r"reproductive ages \[31, 32, "):
             project_births(pop, sched, FertilityConfig.flat(0.1, 1.0, 1.05))
 
@@ -107,7 +106,7 @@ class TestProjectBirths:
             if not (sex is Sex.FEMALE and age in dropped)
         }
         pop = AgePyramid(region, 2011, axis, cells)
-        sched = SurvivalSchedule.flat(region, axis, 1.0)
+        sched = SurvivalSchedule.flat(axis, 1.0)
         with pytest.raises(DomainError) as err:
             project_births(pop, sched, FertilityConfig.flat(0.1, 1.0, 1.05))
         assert str(err.value) == f"pyramid lacks female counts at reproductive ages {missing}"
@@ -124,7 +123,7 @@ class TestProjectBirths:
     def test_doubling_eligibility_doubles_births_exactly(self, region, axis):
         female = {age: 37.5 + age for age in range(15, 50)}
         pop = dense_pyramid(region, 2011, axis, female=female)
-        sched = SurvivalSchedule.flat(region, axis, 0.93)
+        sched = SurvivalSchedule.flat(axis, 0.93)
         half = FertilityConfig.flat(0.11, eligible_proportion=0.41, sex_ratio_at_birth=1.0)
         full = FertilityConfig.flat(0.11, eligible_proportion=0.82, sex_ratio_at_birth=1.0)
         assert project_births(pop, sched, full).sum() == 2.0 * project_births(
@@ -134,7 +133,7 @@ class TestProjectBirths:
     def test_births_are_age_zero_of_the_next_frame_bit_for_bit(self, region, axis):
         female = {age: 1000.0 / (age + 1) for age in range(101)}
         pop = dense_pyramid(region, 2011, axis, female=female, male={3: 7.0})
-        sched = SurvivalSchedule.flat(region, axis, 0.987, 0.991)
+        sched = SurvivalSchedule.flat(axis, 0.987, 0.991)
         fert = FertilityConfig.flat(0.13, eligible_proportion=0.7, sex_ratio_at_birth=1.07)
         births = project_births(pop, sched, fert)
         assert births.dtype == np.float64 and births.shape == (2,)
@@ -152,7 +151,7 @@ class TestProjectBirths:
 )
 def test_pyramid_and_schedule_on_different_axes_rejected(region, step):
     pop = dense_pyramid(region, 2011, AgeAxis(100), female={20: 1.0})
-    sched = SurvivalSchedule.flat(region, AgeAxis(60), 0.9)
+    sched = SurvivalSchedule.flat(AgeAxis(60), 0.9)
     with pytest.raises(DomainError) as err:
         step(pop, sched)
     assert str(err.value) == "pyramid axis (max_age 100) does not match survival axis (max_age 60)"
@@ -181,12 +180,12 @@ def _schedule_29(probs):
     cells = {(s, x): 0.0 for s in Sex for x in axis.ages()}
     for x in range(29):
         cells[(Sex.FEMALE, x)], cells[(Sex.MALE, x)] = probs[x], probs[29 + x]
-    return SurvivalSchedule(RegionId("X"), axis, cells)
+    return SurvivalSchedule(axis, cells)
 
 
 def _pyramid_29(counts):
     female, male = dict(enumerate(counts[:30])), dict(enumerate(counts[30:]))
-    return dense_pyramid(RegionId("X"), 0, AgeAxis(29), female=female, male=male)
+    return dense_pyramid("X", 0, AgeAxis(29), female=female, male=male)
 
 
 class TestSurviveCohorts:
@@ -202,7 +201,7 @@ class TestSurviveCohorts:
     def test_zero_survival_kills_crossing_cohort(self, region):
         axis = AgeAxis(60)
         cells = {(s, a): (0.0 if a in (25, 60) else 1.0) for s in Sex for a in axis.ages()}
-        sched = SurvivalSchedule(region, axis, cells)
+        sched = SurvivalSchedule(axis, cells)
         pop = dense_pyramid(region, 0, axis, female={20: 100.0, 30: 40.0})
         out = survive_cohorts(pop, sched, 10)
         assert out.count(Sex.FEMALE, 30) == 0.0  # crossed age 25
@@ -210,7 +209,7 @@ class TestSurviveCohorts:
 
     def test_cohort_against_bernoulli_microsim(self, region, axis):
         # 200 * 0.99489**10, checked against a seeded per-person simulation
-        sched = SurvivalSchedule.flat(region, axis, 0.99489)
+        sched = SurvivalSchedule.flat(axis, 0.99489)
         pop = dense_pyramid(region, 0, axis, female={30: 200.0})
         expected = survive_cohorts(pop, sched, 10).count(Sex.FEMALE, 40)
         assert expected == pytest.approx(200.0 * 0.99489**10, rel=1e-12)
@@ -223,7 +222,7 @@ class TestSurviveCohorts:
         pop = dense_pyramid(
             region, 0, axis, female={a: 10.0 for a in range(0, 80)}, male={a: 9.0 for a in range(0, 80)}
         )
-        sched = SurvivalSchedule.flat(region, axis, 0.93, 0.97)
+        sched = SurvivalSchedule.flat(axis, 0.93, 0.97)
         out = survive_cohorts(pop, sched, 7)
         assert out.total() <= pop.total()
 
@@ -239,9 +238,9 @@ class TestSurviveCohorts:
     @settings(max_examples=150, deadline=None)
     def test_total_monotonicity_for_any_schedule(self, probs, counts, span):
         axis = AgeAxis(19)
-        region = RegionId("X")
+        region = "X"
         cells = {(s, x): (probs[x] if x < 19 else 0.0) for s in Sex for x in range(20)}
-        sched = SurvivalSchedule(region, axis, cells)
+        sched = SurvivalSchedule(axis, cells)
         pop = dense_pyramid(region, 0, axis, female=dict(enumerate(counts)))
         out = survive_cohorts(pop, sched, span)
         assert out.total() <= pop.total() * (1 + 1e-12)
@@ -259,13 +258,13 @@ class TestSurviveCohorts:
     def test_equals_reference_composition_cell_by_cell(self, probs, counts, span):
         # the array step against the per-cell reference, bit for bit
         axis = AgeAxis(19)
-        region = RegionId("X")
+        region = "X"
         cells = {
             (s, x): (probs[x + 20 * (s is Sex.MALE)] if x < 19 else 0.0)
             for s in Sex
             for x in axis.ages()
         }
-        sched = SurvivalSchedule(region, axis, cells)
+        sched = SurvivalSchedule(axis, cells)
         pop = dense_pyramid(
             region, 0, axis, female=dict(enumerate(counts[:20])), male=dict(enumerate(counts[20:]))
         )
@@ -316,7 +315,7 @@ class TestSurviveCohorts:
     @settings(max_examples=100, deadline=None)
     def test_cohort_nonincreasing_in_span(self, probs, count, age, sex):
         sched = _schedule_29(probs)
-        pop = AgePyramid(RegionId("X"), 0, sched.axis, {(sex, age): count})
+        pop = AgePyramid("X", 0, sched.axis, {(sex, age): count})
         cohort = [count] + [
             survive_cohorts(pop, sched, span).count(sex, age + span)
             for span in range(1, 29 - age + 1)
@@ -326,10 +325,10 @@ class TestSurviveCohorts:
     @given(span=st.integers(min_value=101, max_value=150))
     @settings(max_examples=10, deadline=None)
     def test_span_beyond_axis_rejected(self, span):
-        region = RegionId("X")
+        region = "X"
         axis = AgeAxis(100)
         pop = dense_pyramid(region, 0, axis)
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        sched = SurvivalSchedule.flat(axis, 0.9)
         with pytest.raises(DomainError):
             survive_cohorts(pop, sched, span)
 
@@ -362,7 +361,7 @@ class TestAgeGroupSurvivors:
     """The survivors of an age group are the sum of its survived cohorts."""
 
     def test_width_one_equals_single_cohort(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.95)
+        sched = SurvivalSchedule.flat(axis, 0.95)
         pop = dense_pyramid(region, 0, axis, female={20: 150.0})
         out = survive_cohorts(pop, sched, 5)
         assert out.count(Sex.FEMALE, 25) == pytest.approx(150.0 * 0.95**5, rel=1e-12)
@@ -375,7 +374,7 @@ class TestAgeGroupSurvivors:
 
     def test_two_cell_hand_value(self, region, axis):
         # 100 * 0.81 + 200 * 0.81 = 243
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        sched = SurvivalSchedule.flat(axis, 0.9)
         pop = dense_pyramid(region, 0, axis, female={20: 100.0, 21: 200.0})
         group = survive_cohorts(pop, sched, 2).array[Sex.FEMALE.row, 22:24].sum()
         assert group == pytest.approx(243.0, rel=1e-12)
@@ -385,7 +384,7 @@ class TestAgeGroupSurvivors:
         for a in axis.ages():
             cells[(Sex.MALE, a)] -= 0.004
         cells[(Sex.FEMALE, 100)] = cells[(Sex.MALE, 100)] = 0.0
-        sched = SurvivalSchedule(region, axis, cells)
+        sched = SurvivalSchedule(axis, cells)
         pop = dense_pyramid(
             region,
             0,
@@ -403,7 +402,7 @@ class TestAgeGroupSurvivors:
 
     def test_cohorts_past_the_last_age_are_gone(self, region, axis):
         # 95..97 reach 98..100 at 0.9**3; 98 would reach 101
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        sched = SurvivalSchedule.flat(axis, 0.9)
         pop = dense_pyramid(region, 0, axis, female={95: 1.0, 96: 2.0, 97: 4.0, 98: 8.0})
         out = survive_cohorts(pop, sched, 3)
         assert out.array[Sex.FEMALE.row, 98:] == pytest.approx([0.729, 1.458, 2.916], rel=1e-12)
@@ -418,7 +417,7 @@ def projection_inputs(draw):
     """A densified sparse pyramid on an axis that holds ages 15..49, a
     schedule, fertility and a horizon of 0..30 years."""
     axis = AgeAxis(draw(st.integers(min_value=49, max_value=110)))
-    region = RegionId("X")
+    region = "X"
     n = 2 * axis.n_ages
     counts = draw(st.lists(_counts, min_size=n, max_size=n))
     present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -440,7 +439,7 @@ def projection_inputs(draw):
         sex_ratio_at_birth=draw(st.floats(0.5, 2.0)),
     )
     horizon = draw(st.integers(min_value=0, max_value=30))
-    return pop, SurvivalSchedule(region, axis, sched), fert, horizon
+    return pop, SurvivalSchedule(axis, sched), fert, horizon
 
 
 class TestProjectPopulation:
@@ -479,7 +478,7 @@ class TestProjectPopulation:
         # survival 0.9 flat, F(20)=.5 F(21)=.25 F(30)=.2 F(31)=.1, K=.8, ratio 1
         axis = AgeAxis(49)
         pop = dense_pyramid(region, 2011, axis, female={20: 100.0, 30: 50.0, 49: 20.0})
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        sched = SurvivalSchedule.flat(axis, 0.9)
         fert = FertilityConfig(
             {20: 0.5, 21: 0.25, 30: 0.2, 31: 0.1},
             eligible_proportion=0.8,
@@ -539,7 +538,7 @@ class TestProjectPopulation:
 
     def test_numpy_integer_horizon_accepted(self, region, axis, fert_flat):
         pop = dense_pyramid(region, 2011, axis, female={20: 10.0})
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        sched = SurvivalSchedule.flat(axis, 0.9)
         series = project_population(pop, sched, fert_flat, np.int32(3))
         assert series.horizon == 3
         expected = project_population(pop, sched, fert_flat, 3).counts
@@ -561,7 +560,7 @@ class TestProjectPopulation:
         monkeypatch.setattr(projection, "project_births", spy_births)
         monkeypatch.setattr(projection, "survive_cohorts", spy_step)
         pop = dense_pyramid(region, 2011, axis, female={a: 10.0 + a for a in range(60)})
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        sched = SurvivalSchedule.flat(axis, 0.9)
         series = project_population(pop, sched, fert_flat, 4)
         assert len(seen) == 8
         assert [p.time_label for p in seen[::2]] == [2011, 2012, 2013, 2014]
@@ -582,7 +581,7 @@ class TestProjectPopulation:
     def test_small_pyramid_against_microsim(self, region):
         # stochastic oracle for the deterministic aging chain
         axis = AgeAxis(100)
-        sched = SurvivalSchedule.flat(region, axis, 0.9)
+        sched = SurvivalSchedule.flat(axis, 0.9)
         pop = dense_pyramid(region, 0, axis, male={50: 2000.0})
         expected = survive_cohorts(pop, sched, 5).count(Sex.MALE, 55)
         reps = bernoulli_cohort_survivors(2000, [0.9] * 5, seed=42, replications=200)
@@ -592,7 +591,7 @@ class TestProjectPopulation:
 
 class TestDeathsByAge:
     def test_matches_survival_complement(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 0.96, 0.98)
+        sched = SurvivalSchedule.flat(axis, 0.96, 0.98)
         pop = dense_pyramid(region, 0, axis, female={20: 1000.0}, male={30: 500.0})
         deaths = deaths_by_age(pop.array, sched.array)
         assert deaths.shape == (2, axis.n_ages)
@@ -602,12 +601,12 @@ class TestDeathsByAge:
         assert np.array_equal(deaths, pop.array * (1.0 - sched.array))
 
     def test_last_age_always_dies(self, region, axis):
-        sched = SurvivalSchedule.flat(region, axis, 1.0)
+        sched = SurvivalSchedule.flat(axis, 1.0)
         pop = dense_pyramid(region, 0, axis, female={100: 42.0})
         assert deaths_by_age(pop.array, sched.array)[Sex.FEMALE.row, 100] == 42.0
 
     def test_stacked_frames_match_one_at_a_time(self, region, axis, fert_flat):
-        sched = SurvivalSchedule.flat(region, axis, 0.97, 0.99)
+        sched = SurvivalSchedule.flat(axis, 0.97, 0.99)
         pop = dense_pyramid(region, 0, axis, female={a: 10.0 + a for a in range(60)})
         frames = project_population(pop, sched, fert_flat, 4).counts
         stacked = deaths_by_age(frames, sched.array)
