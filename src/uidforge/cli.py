@@ -5,16 +5,21 @@ Four subcommands: ``project`` (population projection), ``demand``
 corrections) and ``estimate`` (posterior demand intensity). Every option
 is declared once, in ``_OPTIONS``. Options are flags-first; ``--config
 FILE`` supplies key=value defaults that flags override, and
-UIDFORGE_SEED is ``estimate``'s seed fallback. Each command resolves its
-options into a dict of values by option name before touching any file.
-Diagnostics go to stderr, data only to files; the exit code is 0 iff no
-error occurred, and a failed command leaves no ``--out`` directory it made.
+UIDFORGE_SEED is ``estimate``'s seed fallback; a config file that gives
+an option twice is an error. Each command resolves its options into a
+dict of values by option name before touching any file. Diagnostics go
+to stderr, data only to files; the exit code is 0 iff no error occurred,
+and a failed command leaves no ``--out`` directory it made.
+
+``main(argv)`` may be called repeatedly in one process; the parser is
+built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from pathlib import Path
@@ -122,6 +127,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uidforge",
@@ -154,6 +160,8 @@ def _load_config_file(path) -> dict:
         name = key.replace("-", "_")
         if name not in _OPTIONS:
             raise DomainError(f"{path}:{i}: unknown option {key!r}")
+        if name in values:
+            raise DomainError(f"{path}:{i}: option {key!r} given twice")
         values[name] = value
     return values
 

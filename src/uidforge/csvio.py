@@ -342,7 +342,7 @@ def emit_population_csv(pyramids: Mapping, path):
     sex, age). A region code that the reader would reject, or a region
     with a non-finite count, is a DomainError and leaves no file."""
     lines = [",".join(POPULATION_HEADER) + "\n"]
-    for code in map(_writable_code, sorted(pyramids)):
+    for code in sorted(map(_writable_code, pyramids)):  # checked before sorted compares them
         pyramid = pyramids[code]
         if not np.isfinite(pyramid.array).all():
             raise DomainError(f"region {code}: a count is not finite")

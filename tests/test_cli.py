@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -756,6 +757,42 @@ class TestOptionTable:
         assert not Path(flag_values[command]["out"]).exists()
 
 
+class TestParserCache:
+    def test_a_second_run_builds_no_parser(self, flag_values, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        _build_parser.cache_clear()
+        for i, expected in enumerate([5, 0]):  # the parser and its four subparsers
+            built.clear()
+            values = {**flag_values["demand"], "out": str(tmp_path / f"run{i}")}
+            assert main(as_argv("demand", values)) == 0
+            assert len(built) == expected
+
+    def test_outputs_equal_those_of_a_cold_cache(self, flag_values, tmp_path):
+        commands = ["project", "demand", "coverage", "estimate", "demand"]
+
+        def outputs(out):
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        warm = []
+        for i, command in enumerate(commands):
+            out = tmp_path / f"warm{i}"
+            assert main(as_argv(command, {**flag_values[command], "out": str(out)})) == 0
+            warm.append(outputs(out))
+        for i, command in enumerate(commands):
+            _build_parser.cache_clear()
+            out = tmp_path / f"cold{i}"
+            assert main(as_argv(command, {**flag_values[command], "out": str(out)})) == 0
+            assert outputs(out) == warm[i], command
+            assert warm[i]
+
+
 def header_only_population(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text("region,sex,age,count\n", encoding="utf-8")
@@ -774,6 +811,15 @@ def config_without_equals(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("# seed\nseed 3\n", encoding="utf-8")
     return str(path)
+
+
+def config_giving_an_option_twice(*lines):
+    def write(tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return str(path)
+
+    return write
 
 
 def header_only_unknown_age(tmp_path):
@@ -824,6 +870,16 @@ BAD_RUNS = {
         "estimate",
         {"config": config_without_equals},
         "{config}:2: expected key=value, got 'seed 3'",
+    ),
+    "config-option-given-twice": (
+        "demand",
+        {"config": config_giving_an_option_twice("horizon=5", "horizon=10")},
+        "{config}:2: option 'horizon' given twice",
+    ),
+    "config-option-given-twice-in-either-spelling": (
+        "project",
+        {"config": config_giving_an_option_twice("# ages", "max-age=60", "max_age=70")},
+        "{config}:3: option 'max_age' given twice",
     ),
     # no region to adjust: the rate is still checked
     "omission-of-a-header-only-population": (

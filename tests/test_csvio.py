@@ -590,9 +590,11 @@ class TestWritersRejectCodesTheReadersReject:
     def test_population_writer(self, tmp_path, code):
         pyramid = dense_pyramid("IN", 2011, AgeAxis(3), female={1: 1.0})
         path = tmp_path / "out.csv"
-        with pytest.raises(DomainError) as err:
-            emit_population_csv({code: pyramid}, path)
-        self.assert_rejected(err, code, path)
+        # beside a good code too: a key of another type is named, not compared
+        for pyramids in ({code: pyramid}, {"IN": pyramid, code: pyramid}):
+            with pytest.raises(DomainError) as err:
+                emit_population_csv(pyramids, path)
+            self.assert_rejected(err, code, path)
 
     def test_projection_writer(self, tmp_path, code):
         (good,) = projections(1, 2)
